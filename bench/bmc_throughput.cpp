@@ -10,9 +10,9 @@
  * per-config detection-latency obligation (unreachable: walks every
  * bound before settling — the deepening-heavy half of the workload):
  *
- *  - "per-query": one check_cover deepening loop per target, each on
- *    its own single-cone shadow netlist (the Incremental engine — the
- *    stronger of the two per-query engines, and the semantics oracle);
+ *  - "per-query": one check_cover call per target, each on its own
+ *    single-cone shadow netlist — a one-target CoverBatch, i.e. one
+ *    deepening loop per target under that target's cone-only cell mask;
  *  - "batched":   ONE formal::CoverBatch suite per module over a
  *    lift::build_shadow_bank netlist holding every fault cone — the
  *    module logic is unrolled once per frame for the whole suite, every

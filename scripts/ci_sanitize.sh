@@ -39,8 +39,9 @@ ctest --test-dir "$build" --output-on-failure \
 ctest --test-dir "$build" --output-on-failure -L mem -j "$jobs"
 # Bench smoke: runs bench/sim_throughput --smoke (lockstep-checks the
 # scalar/tape/batch simulator engines under the sanitizers),
-# bench/bmc_throughput --smoke (cross-checks the scratch and
-# incremental BMC engines query-by-query), bench/fleet_throughput
+# bench/bmc_throughput --smoke (cross-checks per-query check_cover
+# against batched CoverBatch verdicts target by target),
+# bench/fleet_throughput
 # --smoke (thread-count byte-identity of the fleet engine),
 # bench/campaign_scaling --smoke (thread-count byte-identity of the
 # campaign engine), bench/mem_substrate --smoke (decoder lifting and
@@ -54,11 +55,13 @@ ctest --test-dir "$build" --output-on-failure -L bench-smoke -j "$jobs"
 # suite-level batched cover solving returns byte-identical results
 # (status, frames, induction depth, witness waveforms) at 1, 2, and 8
 # portfolio threads and under target-order permutation, against the
-# per-query oracle. Clause sharing and work partitioning must never
-# leak into verdicts; run the gate focused so a divergence fails
-# readably before the full suite.
+# scratch reference loop of tests/bmc_oracle.h. FormalIncremental pins
+# check_cover and LiftOracle pins every run_error_lifting config to the
+# same oracle. Clause sharing and work partitioning must never leak
+# into verdicts; run the gate focused so a divergence fails readably
+# before the full suite.
 ctest --test-dir "$build" --output-on-failure \
-    -R 'CoverBatch|SatSolver' -j "$jobs"
+    -R 'CoverBatch|SatSolver|FormalIncremental|LiftOracle' -j "$jobs"
 echo "ci_sanitize: portfolio determinism gate clean"
 
 # Thread-scaling gate: the campaign engine must actually scale where

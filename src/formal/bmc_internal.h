@@ -1,8 +1,7 @@
 /**
  * @file
- * Helpers shared by the per-query BMC engines (bmc.cpp) and the
- * suite-level batched engine (cover_batch.cpp). Internal to
- * src/formal — not part of the library interface.
+ * Helpers of the cover engine (cover_batch.cpp), defined in bmc.cpp.
+ * Internal to src/formal — not part of the library interface.
  */
 #pragma once
 
@@ -19,7 +18,7 @@ Waveform extract_trace(const Netlist &nl, const Unroller &unroll,
 
 /**
  * One loop-wide wall-clock deadline, shared by every SAT query of a
- * check_cover call or CoverBatch run: each query is handed only the
+ * CoverBatch run: each query is handed only the
  * time remaining, so the whole loop — not each query — honours
  * wall_budget_seconds.
  */
@@ -55,11 +54,12 @@ class LoopDeadline
 void count_outcome(BmcStatus status);
 
 /**
- * Fresh-instance bound-@p k cover query from reset. This is the scratch
- * engine's inner step and every other engine's witness derivation after
- * a Sat answer: satisfiability at a fixed bound is engine-independent,
- * so routing all engines' traces through this one function makes their
- * extracted waveforms identical by construction.
+ * Fresh-instance bound-@p k cover query from reset: CoverBatch's
+ * witness derivation after a Sat answer. Satisfiability at a fixed
+ * bound does not depend on batch shape or on how the deepening
+ * instance got there, so deriving every trace through this one query
+ * makes the extracted waveform a function of (netlist, target, k)
+ * alone.
  */
 sat::Solver::Result
 solve_reset_bound(const Netlist &nl, NetId target, const BmcOptions &opts,

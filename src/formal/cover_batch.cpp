@@ -212,8 +212,8 @@ CoverBatch::run(int64_t conflict_budget, double wall_budget_seconds)
     ++runs_;
 
     // Fresh per-run accounting: unsettled targets restart their spend
-    // (each run reports its own slice, like CoverSession::run), and a
-    // settled target's replay charges nothing.
+    // (each run reports its own slice), and a settled target's replay
+    // charges nothing.
     for (Target &t : targets_) {
         if (t.phase == Target::Phase::Settled) {
             t.result.conflicts = 0;
@@ -359,10 +359,10 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
                 park(t, k); // resumable: retry bound k next run
                 break;
               case sat::Solver::Result::Sat: {
-                // Re-derive the witness through the same fresh-instance
-                // bound-k query the per-query engines use, on the
-                // target's witness netlist — byte-identical waveforms
-                // by construction, never the batch instance's model.
+                // Re-derive the witness through a fresh-instance bound-k
+                // query on the target's witness netlist — the waveform
+                // is a function of (netlist, target, k), never of the
+                // batch instance's model.
                 const Netlist *wnl = t.spec.witness_netlist
                                          ? t.spec.witness_netlist
                                          : &nl_;
@@ -399,7 +399,10 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
     // Each target's shadow-consistency equalities ride behind its own
     // gate literal and its target@0 ∨ target@1 clause behind an
     // activation literal, so the per-target query is the assumption
-    // set {gate, clause} — the batched form of check_cover's phase 2.
+    // set {gate, clause}: from a free state whose shadow registers
+    // agree with their originals, can one more cycle raise the target?
+    // UNSAT generalizes over every reachable state (the shadow
+    // invariant holds on all of them), proving the cover unreachable.
     std::vector<int> due_free;
     for (int ti : w.targets)
         if (targets_[ti].phase == Target::Phase::Free &&
@@ -478,10 +481,14 @@ CoverBatch::run_worker(Worker &w, int64_t conflict_budget,
 
     // ---- Phase 3: k-induction on the same free-state instance ----
     //
-    // The depth-k step query mirrors kinduction_prove(): target low for
-    // frames 0..k-1 (assumed directly on the net variables), can it
-    // rise at frame k? Unknown falls back to the bounded verdict, as
-    // the per-query pass does.
+    // Depth-k step query: from the free, shadow-consistent state, the
+    // target stays low for frames 0..k-1 (assumed directly on the net
+    // variables) — can it rise at frame k? UNSAT closes the induction:
+    // a first rise at T >= max_frames >= k would need this very window
+    // to be satisfiable, and phase 1 already refuted every rise before
+    // max_frames (the base case). Depth 1 is skipped, since phase 2's
+    // target@0 ∨ target@1 query subsumes it. Unknown falls back to the
+    // bounded verdict.
     for (int k = 2; k <= max_depth; ++k) {
         std::vector<int> due;
         for (int ti : w.targets)

@@ -1,7 +1,7 @@
 #include "formal/equiv.h"
 
 #include "common/logging.h"
-#include "formal/cover_batch.h"
+#include "formal/bmc.h"
 #include "netlist/builder.h"
 
 namespace vega::formal {
@@ -104,21 +104,7 @@ check_equivalence(const Netlist &a, const Netlist &b,
     bopts.assumes.clear();
     bopts.state_equalities.clear();
 
-    // A miter check is a one-target cover suite, so the Incremental
-    // engine routes it through the batched machinery (same deepening
-    // semantics, same witness re-derivation, shared code path with the
-    // lift suites). Scratch stays on the per-query oracle.
-    BmcResult bmc;
-    if (bopts.engine == BmcEngine::Incremental) {
-        CoverBatch batch(miter, bopts);
-        CoverTargetSpec spec;
-        spec.target = diff;
-        int idx = batch.add_target(std::move(spec));
-        batch.run();
-        bmc = batch.result(idx);
-    } else {
-        bmc = check_cover(miter, diff, bopts);
-    }
+    BmcResult bmc = check_cover(miter, diff, bopts);
 
     EquivResult result;
     result.frames = bmc.frames;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Suite-level batched cover solving: byte-identity against the
- * per-query oracle on the real lift corpus (any seed, any thread
- * count), the k-induction post-pass cross-checked against exhaustive
- * unrolling, and mid-batch timeout resume.
+ * Suite-level batched cover solving: byte-identity against the scratch
+ * reference loop (tests/bmc_oracle.h) on the real lift corpus (any
+ * seed, any thread count), the k-induction post-pass cross-checked
+ * against exhaustive unrolling, and mid-batch timeout resume.
  */
 #include "formal/cover_batch.h"
 
@@ -13,6 +13,7 @@
 #include <numeric>
 
 #include "aging/timing_library.h"
+#include "bmc_oracle.h"
 #include "common/rng.h"
 #include "lift/failure_model.h"
 #include "lift/instruction_builder.h"
@@ -29,6 +30,7 @@ namespace vega::formal {
 namespace {
 
 using aging::AgingTimingLibrary;
+using oracle::check_cover_scratch;
 using aging::RdModelParams;
 
 const AgingTimingLibrary &
@@ -94,7 +96,7 @@ expect_identical(const BmcResult &got, const BmcResult &want,
                 << label << " signal " << sig << " cycle " << cyc;
 }
 
-/** One lift config with its shadow netlist and per-query oracle run. */
+/** One lift config with its shadow netlist and scratch oracle run. */
 struct ConfigCase
 {
     lift::FailureModelSpec spec;
@@ -126,8 +128,8 @@ build_cases(ModuleKind kind, size_t max_pairs, const BmcOptions &base)
             BmcOptions opts = base;
             opts.assumes = cc.assumes;
             opts.state_equalities = cc.shadow.state_pairs;
-            cc.oracle =
-                check_cover(cc.shadow.netlist, cc.shadow.mismatch, opts);
+            cc.oracle = check_cover_scratch(cc.shadow.netlist,
+                                            cc.shadow.mismatch, opts);
             cases.push_back(std::move(cc));
         }
         if (++used >= max_pairs)
@@ -137,7 +139,7 @@ build_cases(ModuleKind kind, size_t max_pairs, const BmcOptions &base)
 }
 
 /** Run the permuted corpus as one CoverBatch and check every target
- *  against its per-query oracle. */
+ *  against its scratch oracle run. */
 void
 check_batch_identity(ModuleKind kind, const std::vector<ConfigCase> &cases,
                      const BmcOptions &base, uint64_t seed, int threads)
@@ -255,7 +257,7 @@ TEST(CoverBatch, KInductionUpgradesBoundExhaustionToProof)
     // Exhaustive unrolling far past the 4-state diameter: never covered.
     BmcOptions deep;
     deep.max_frames = 16;
-    BmcResult exhaustive = check_cover(nl, swap_t, deep);
+    BmcResult exhaustive = check_cover_scratch(nl, swap_t, deep);
     EXPECT_EQ(exhaustive.status, BmcStatus::Unreachable);
     EXPECT_FALSE(exhaustive.proven_by_induction);
 
@@ -264,7 +266,7 @@ TEST(CoverBatch, KInductionUpgradesBoundExhaustionToProof)
     BmcOptions opts;
     opts.max_frames = 4;
     opts.kinduction_frames = 4;
-    BmcResult scalar = check_cover(nl, swap_t, opts);
+    BmcResult scalar = check_cover_scratch(nl, swap_t, opts);
     EXPECT_EQ(scalar.status, BmcStatus::Unreachable);
     EXPECT_TRUE(scalar.proven_by_induction);
     EXPECT_EQ(scalar.kinduction_depth, 2);
@@ -293,14 +295,14 @@ TEST(CoverBatch, KInductionNeverFalselyProvesReachableTargets)
 
     BmcOptions deep;
     deep.max_frames = 16;
-    BmcResult exhaustive = check_cover(nl, ctr_t, deep);
+    BmcResult exhaustive = check_cover_scratch(nl, ctr_t, deep);
     ASSERT_EQ(exhaustive.status, BmcStatus::Covered);
     EXPECT_EQ(exhaustive.frames, 6);
 
     BmcOptions opts;
     opts.max_frames = 3;
     opts.kinduction_frames = 3;
-    BmcResult scalar = check_cover(nl, ctr_t, opts);
+    BmcResult scalar = check_cover_scratch(nl, ctr_t, opts);
     EXPECT_EQ(scalar.status, BmcStatus::Unreachable);
     EXPECT_FALSE(scalar.proven_by_induction);
     EXPECT_EQ(scalar.kinduction_depth, 0);
@@ -338,7 +340,7 @@ TEST(CoverBatch, MixedPhaseTargetsShareOneInstance)
     batch.run();
     for (size_t i = 0; i < targets.size(); ++i)
         expect_identical(batch.result(static_cast<int>(i)),
-                         check_cover(nl, targets[i], opts),
+                         check_cover_scratch(nl, targets[i], opts),
                          "mixed target " + std::to_string(i));
 }
 
@@ -387,9 +389,10 @@ TEST(CoverBatch, MidBatchTimeoutResumesWhereItStopped)
     // The escalation rung resumes the starved target only.
     batch.run();
     EXPECT_TRUE(batch.all_settled());
-    expect_identical(batch.result(ctr_idx), check_cover(nl, ctr_t, opts),
-                     "resume counter");
-    expect_identical(batch.result(mul_idx), check_cover(nl, mul_t, opts),
+    expect_identical(batch.result(ctr_idx),
+                     check_cover_scratch(nl, ctr_t, opts), "resume counter");
+    expect_identical(batch.result(mul_idx),
+                     check_cover_scratch(nl, mul_t, opts),
                      "resume multiplier");
 }
 
@@ -431,7 +434,7 @@ TEST(CoverBatch, WallBudgetIsLoopWideWithPerTargetAttribution)
         const BmcResult &r = batch.result(static_cast<int>(i));
         EXPECT_GE(r.wall_seconds, 0.0);
         attributed += r.wall_seconds;
-        expect_identical(r, check_cover(nl, targets[i], opts),
+        expect_identical(r, check_cover_scratch(nl, targets[i], opts),
                          "wall target " + std::to_string(i));
     }
     EXPECT_LE(attributed, elapsed + 0.05);

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "aging/timing_library.h"
+#include "bmc_oracle.h"
 #include "cpu/alu_ops.h"
 #include "cpu/netlist_backend.h"
 #include "rtl/alu32.h"
+#include "rtl/fpu32.h"
 #include "sim/sp_profiler.h"
 
 namespace vega::lift {
@@ -262,6 +264,79 @@ TEST_F(AluLift, DegradedLadderFallsBackToFuzzing)
             }
         }
     EXPECT_TRUE(saw_any);
+}
+
+/**
+ * Lift the first @p n_pairs liftable pairs of an aged @p kind module
+ * (the AluLift recipe) with the Formal engine, and check every config's
+ * verdict against the scratch reference loop run on that config's own
+ * shadow instrumentation — the per-config pin of the batched lift path.
+ * Covered configs also pin the trace: the oracle's waveform must lower
+ * to the same software block as the lifted test.
+ */
+void
+expect_lift_matches_scratch_oracle(ModuleKind kind, size_t n_pairs)
+{
+    HwModule module = kind == ModuleKind::Alu32 ? rtl::make_alu32()
+                                                : rtl::make_fpu32();
+    sta::calibrate_timing_scale(module, lib(), 0.99);
+    Simulator sim(module.netlist);
+    SpProfile profile =
+        profile_signal_probability(sim, 64, [](Simulator &, uint64_t) {});
+    sta::StaResult sta = sta::run_sta(
+        module, sta::compute_aged_timing(module, profile, lib(), 10.0));
+    std::vector<sta::EndpointPair> pairs;
+    for (const sta::EndpointPair &p : sta.pairs)
+        if (p.launch != kInvalidId && pairs.size() < n_pairs)
+            pairs.push_back(p);
+    ASSERT_EQ(pairs.size(), n_pairs);
+
+    LiftConfig cfg;
+    cfg.bmc.max_frames = 4;
+    cfg.bmc.conflict_budget = 400000;
+    LiftResult r = run_error_lifting(module, pairs, cfg);
+    ASSERT_EQ(r.pairs.size(), n_pairs);
+
+    size_t checked = 0, traces = 0;
+    for (size_t pi = 0; pi < r.pairs.size(); ++pi)
+        for (const ConfigOutcome &co : r.pairs[pi].configs) {
+            ShadowInstrumentation shadow =
+                build_shadow_instrumentation(module.netlist, co.spec);
+            formal::BmcOptions opts = cfg.bmc;
+            opts.assumes = build_assumes(shadow.netlist, kind);
+            opts.state_equalities = shadow.state_pairs;
+            formal::BmcResult want = formal::oracle::check_cover_scratch(
+                shadow.netlist, shadow.mismatch, opts);
+            std::string label =
+                "pair " + std::to_string(pi) + " config " + co.name;
+            EXPECT_EQ(co.bmc, want.status) << label;
+            EXPECT_EQ(co.frames, want.frames) << label;
+            EXPECT_EQ(co.proven_by_induction, want.proven_by_induction)
+                << label;
+            ++checked;
+            if (want.status != formal::BmcStatus::Covered)
+                continue;
+            ConversionResult conv =
+                build_test_case(kind, want.trace, int(pi), co.name);
+            EXPECT_EQ(co.converted, conv.ok) << label;
+            for (const runtime::TestCase &tc : r.pairs[pi].tests)
+                if (tc.config == co.name) {
+                    EXPECT_EQ(tc.assembly(), conv.test.assembly()) << label;
+                    ++traces;
+                }
+        }
+    EXPECT_EQ(checked, 2 * n_pairs);
+    EXPECT_GT(traces, 0u);
+}
+
+TEST(LiftOracle, Alu32ConfigsMatchScratchOracle)
+{
+    expect_lift_matches_scratch_oracle(ModuleKind::Alu32, 3);
+}
+
+TEST(LiftOracle, Fpu32ConfigsMatchScratchOracle)
+{
+    expect_lift_matches_scratch_oracle(ModuleKind::Fpu32, 2);
 }
 
 TEST(TraceEngineNames, AreStable)
