@@ -13,9 +13,17 @@
  *    (steps/sec x 64) since each step advances 64 simulations.
  *
  * Before timing, all three are spot-checked in lockstep so a speedup
- * can never come from computing the wrong values. Results land in
- * BENCH_sim.json in the working directory; `--smoke` shrinks the time
- * budget for CI (numbers get noisy, schema and lockstep check do not).
+ * can never come from computing the wrong values.
+ *
+ * A fourth row times the wave campaign's engine, BatchNetlistEngine, on
+ * an ALU32 fault bank (8 liftable pairs x {0,1}, one fault per lane):
+ * commit rounds/sec under a random op/idle stream, and the tape settles
+ * (evals) and clock edges each round costs. It is checked first against
+ * the golden ALU with every fault disabled.
+ *
+ * Results land in BENCH_sim.json in the working directory; `--smoke`
+ * shrinks the time budget for CI (numbers get noisy, schema and
+ * lockstep checks do not).
  */
 #include <chrono>
 #include <cstdio>
@@ -25,6 +33,10 @@
 
 #include "bench/common.h"
 #include "common/rng.h"
+#include "cpu/alu_ops.h"
+#include "cpu/batch_backend.h"
+#include "lift/failure_model.h"
+#include "obs/metrics.h"
 #include "sim/batch_sim.h"
 #include "sim/simulator.h"
 
@@ -222,6 +234,118 @@ bench_module(const std::string &name, const Netlist &nl,
     return r;
 }
 
+struct EngineResult
+{
+    size_t faults = 0, instrs = 0;
+    double rounds_per_sec = 0;
+    double evals_per_round = 0;
+    double edges_per_round = 0;
+};
+
+/**
+ * Post one round of a random op/idle stream (three ops to one idle) in
+ * every lane; returns the mask of Op lanes and records their operands.
+ */
+uint64_t
+post_random_round(cpu::BatchNetlistEngine &eng, Rng &stim,
+                  std::vector<uint32_t> &want)
+{
+    uint64_t ops = 0;
+    for (int l = 0; l < cpu::BatchNetlistEngine::kLanes; ++l) {
+        uint64_t r = stim.next();
+        if ((r & 3) == 0) {
+            eng.post_idle(l);
+            continue;
+        }
+        auto op = AluOp((r >> 2) % kNumAluOps);
+        uint32_t a = uint32_t(r >> 32), b = uint32_t(stim.next());
+        eng.post_op(l, uint8_t(op), a, b);
+        want[size_t(l)] = alu_compute(op, a, b);
+        ops |= uint64_t(1) << l;
+    }
+    return ops;
+}
+
+EngineResult
+bench_engine(double budget_sec)
+{
+    bench::AnalyzedModule m = bench::analyze(ModuleKind::Alu32);
+    std::vector<lift::FailureModelSpec> specs;
+    for (const sta::EndpointPair &p : m.aging.liftable_pairs()) {
+        if (specs.size() >= 16)
+            break;
+        for (lift::FaultConstant c :
+             {lift::FaultConstant::Zero, lift::FaultConstant::One}) {
+            lift::FailureModelSpec fm;
+            fm.launch = p.launch;
+            fm.capture = p.capture;
+            fm.is_setup = p.is_setup;
+            fm.constant = c;
+            specs.push_back(fm);
+        }
+    }
+    lift::FaultBank bank = lift::build_fault_bank(m.module.netlist, specs);
+    auto tape = std::make_shared<const EvalTape>(bank.netlist);
+
+    EngineResult r;
+    r.faults = bank.num_faults;
+    r.instrs = tape->num_instrs();
+    const int lanes = cpu::BatchNetlistEngine::kLanes;
+    std::vector<uint32_t> want(lanes);
+
+    // Every fault disabled: each lane is a healthy ALU, so every Op
+    // result must match the golden model.
+    {
+        cpu::BatchNetlistEngine eng(ModuleKind::Alu32, tape);
+        Rng stim(0x5eed);
+        for (int t = 0; t < 64; ++t) {
+            uint64_t ops = post_random_round(eng, stim, want);
+            eng.commit_round();
+            for (int l = 0; l < lanes; ++l)
+                if (((ops >> l) & 1) &&
+                    eng.result(l).value != want[size_t(l)]) {
+                    std::printf("ENGINE MISMATCH round %d lane %d: "
+                                "got %08x want %08x\n",
+                                t, l, eng.result(l).value,
+                                want[size_t(l)]);
+                    std::exit(1);
+                }
+        }
+    }
+
+    cpu::BatchNetlistEngine eng(ModuleKind::Alu32, tape);
+    for (int l = 0; l < lanes; ++l) {
+        BitVec en(bank.num_faults);
+        en.set(size_t(l) % bank.num_faults, true);
+        eng.set_lane_bus("fm_en", l, en);
+    }
+    Rng stim(0xfa17);
+    obs::Counter &evals = obs::counter("sim.batch_evals");
+    obs::Counter &edges = obs::counter("sim.batch_cycles");
+    uint64_t evals0 = evals.value(), edges0 = edges.value();
+    uint64_t rounds = 0;
+    double start = now_seconds(), elapsed = 0.0;
+    do {
+        for (int i = 0; i < 64; ++i) {
+            post_random_round(eng, stim, want);
+            eng.commit_round();
+        }
+        rounds += 64;
+        elapsed = now_seconds() - start;
+    } while (elapsed < budget_sec);
+    r.rounds_per_sec = rounds / elapsed;
+    r.evals_per_round = double(evals.value() - evals0) / rounds;
+    r.edges_per_round = double(edges.value() - edges0) / rounds;
+
+    std::printf("engine | alu32 bank, %zu faults | %6zu instrs | "
+                "%.0f rounds/s (%.0f lane-rounds/s) | %.3f evals, "
+                "%.3f edges per round\n",
+                r.faults, r.instrs, r.rounds_per_sec,
+                lanes * r.rounds_per_sec, r.evals_per_round,
+                r.edges_per_round);
+    return r;
+}
+
 } // namespace
 
 int
@@ -246,6 +370,7 @@ main(int argc, char **argv)
     std::vector<ModuleResult> results;
     results.push_back(bench_module("alu32", alu.netlist, budget));
     results.push_back(bench_module("fpu32", fpu.netlist, budget));
+    EngineResult engine = bench_engine(budget);
 
     std::string json = "{\"sim_throughput\":{\"smoke\":";
     json += smoke ? "true" : "false";
@@ -263,7 +388,18 @@ main(int argc, char **argv)
                       r.tape_speedup(), r.batch_speedup());
         json += buf;
     }
-    json += "]}}";
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "],\"engine\":{\"module\":\"alu32_fault_bank\","
+                  "\"faults\":%zu,\"tape_instrs\":%zu,"
+                  "\"rounds_per_s\":%.0f,\"lane_rounds_per_s\":%.0f,"
+                  "\"evals_per_round\":%.3f,\"edges_per_round\":%.3f,"
+                  "\"evals_per_edge\":%.3f}}}",
+                  engine.faults, engine.instrs, engine.rounds_per_sec,
+                  BatchSimulator::kLanes * engine.rounds_per_sec,
+                  engine.evals_per_round, engine.edges_per_round,
+                  engine.evals_per_round / engine.edges_per_round);
+    json += buf;
     bench::write_bench_json("sim", smoke, json);
     return 0;
 }

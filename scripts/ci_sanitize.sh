@@ -64,6 +64,16 @@ ctest --test-dir "$build" --output-on-failure \
     -R 'CoverBatch|SatSolver|FormalIncremental|LiftOracle' -j "$jobs"
 echo "ci_sanitize: portfolio determinism gate clean"
 
+# Wave lockstep gate: wave campaigns must stay byte-identical to the
+# scalar oracle. The batch engine reads output registers' D pins by
+# resolved net index, packs and unpacks 64 lanes per plane, and skips
+# settles by the tape's feeds_logic map; an off-by-one in any of them
+# is an out-of-bounds read or a wrong lane bit. Run the wave, batch
+# simulator and tape tests focused so such a bug fails readably.
+ctest --test-dir "$build" --output-on-failure \
+    -R 'WaveCampaign|BatchSimulator|EvalTape' -j "$jobs"
+echo "ci_sanitize: wave lockstep gate clean"
+
 # Thread-scaling gate: the campaign engine must actually scale where
 # the hardware can scale. campaign_scaling --smoke adds an 8-thread
 # run whenever the box has >= 8 hardware threads; on smaller runners

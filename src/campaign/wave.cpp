@@ -157,7 +157,9 @@ struct Lane
 {
     const WaveJob *job = nullptr;
     std::optional<runtime::AgingLibrary> lib;
+    /** Re-armed per test (Iss::load_program); freed when done. */
     std::unique_ptr<cpu::Iss> iss;
+    bool in_test = false;   ///< a test is loaded in iss
     uint64_t next_slot = 0; ///< next scheduler slot to claim
     uint64_t cur_slot = 0;  ///< slot of the test in flight
     size_t cur_test = 0;    ///< suite index of the test in flight
@@ -178,10 +180,15 @@ start_test(const WaveContext &ctx, Lane &ln)
             continue;
         ln.cur_slot = slot;
         ln.cur_test = *idx;
-        cpu::IssConfig cfg;
-        cfg.max_instructions = kTestWatchdog;
-        ln.iss = std::make_unique<cpu::Iss>((*ctx.suite)[*idx].program,
-                                            cfg);
+        const std::vector<cpu::Instr> &program = (*ctx.suite)[*idx].program;
+        if (ln.iss) {
+            ln.iss->load_program(program);
+        } else {
+            cpu::IssConfig cfg;
+            cfg.max_instructions = kTestWatchdog;
+            ln.iss = std::make_unique<cpu::Iss>(program, cfg);
+        }
+        ln.in_test = true;
         return true;
     }
     return false;
@@ -195,6 +202,7 @@ finish_lane(Lane &ln, const cpu::BatchNetlistEngine &eng, int li)
     ln.res.corrupts_workload = ln.job->corrupts;
     ln.res.escape = ln.job->corrupts && !ln.res.detected;
     ln.done = true;
+    ln.iss.reset();
 }
 
 /**
@@ -207,7 +215,7 @@ advance_lane(const WaveContext &ctx, cpu::BatchNetlistEngine &eng, int li,
              Lane &ln)
 {
     for (;;) {
-        if (!ln.iss) {
+        if (!ln.in_test) {
             if (start_test(ctx, ln))
                 continue;
             finish_lane(ln, eng, li);
@@ -229,7 +237,7 @@ advance_lane(const WaveContext &ctx, cpu::BatchNetlistEngine &eng, int li,
             det = runtime::Detection::TagAnomaly;
         ln.tags_seen = eng.tag_mismatches(li);
         ln.lib->record_result(ln.cur_test, det);
-        ln.iss.reset();
+        ln.in_test = false;
         if (det != runtime::Detection::None) {
             ln.res.detected = true;
             ln.res.kind = det;

@@ -23,20 +23,32 @@ BatchNetlistEngine::BatchNetlistEngine(ModuleKind kind,
                    kind == ModuleKind::Mdu32,
                "batch engine supports alu32/fpu32/mdu32 modules");
     const Netlist &nl = sim_.netlist();
+    // Every peeked output is a register Q: its value one edge ahead is
+    // the settled value of its D pin now.
+    auto d_pin = [&nl](NetId q) {
+        CellId drv = nl.net(q).driver;
+        VEGA_CHECK(drv != kInvalidId && nl.cell(drv).type == CellType::Dff,
+                   "peeked output ", nl.net(q).name, " of ", nl.name(),
+                   " is not driven by a DFF");
+        return nl.cell(drv).in[0];
+    };
     a_nets_ = nl.bus("a");
     b_nets_ = nl.bus("b");
     op_nets_ = nl.bus("op");
-    r_nets_ = nl.bus("r");
+    for (NetId q : nl.bus("r"))
+        r_d_nets_.push_back(d_pin(q));
     a_planes_.assign(a_nets_.size(), 0);
     b_planes_.assign(b_nets_.size(), 0);
     op_planes_.assign(op_nets_.size(), 0);
     if (kind_ == ModuleKind::Fpu32) {
-        flags_nets_ = nl.bus("flags");
+        for (NetId q : nl.bus("flags"))
+            flags_d_nets_.push_back(d_pin(q));
+        flag_planes_.assign(flags_d_nets_.size(), 0);
         valid_net_ = nl.bus("valid")[0];
         clear_net_ = nl.bus("clear")[0];
-        valid_out_net_ = nl.bus("valid_out")[0];
-        ack_net_ = nl.bus("ack")[0];
-        dbg_net_ = nl.bus("dbg_out")[0];
+        valid_out_d_net_ = d_pin(nl.bus("valid_out")[0]);
+        ack_d_net_ = d_pin(nl.bus("ack")[0]);
+        dbg_d_net_ = d_pin(nl.bus("dbg_out")[0]);
     }
     if (nl.has_bus("fm_rand")) {
         has_random_input_ = true;
@@ -120,29 +132,49 @@ BatchNetlistEngine::draw_rand(uint64_t lanes_mask)
     sim_.set_input(rand_net_, rand_plane_);
 }
 
+uint64_t
+BatchNetlistEngine::speculative_draw(uint64_t lanes_mask)
+{
+    uint64_t drawn = lanes_mask & random_mask_;
+    if (!drawn)
+        return 0;
+    for (uint64_t m = drawn; m; m &= m - 1) {
+        int lane = lowest_lane(m);
+        rngs_save_[size_t(lane)] = rngs_[size_t(lane)];
+    }
+    draw_rand(drawn);
+    return drawn;
+}
+
+void
+BatchNetlistEngine::rewind_rand(uint64_t drawn)
+{
+    for (uint64_t m = drawn; m; m &= m - 1) {
+        int lane = lowest_lane(m);
+        rngs_[size_t(lane)] = rngs_save_[size_t(lane)];
+    }
+}
+
 void
 BatchNetlistEngine::commit_round()
 {
-    // 1. Pre-tick speculative edge: ReadFflags lanes sample the sticky
-    // flags register as of *now* (the scalar read_fflags() peeks before
-    // the instruction's idle tick). The edge commits every lane's DFFs,
-    // but the restore makes that invisible to non-reading lanes.
+    // 1. Pre-tick peek: ReadFflags lanes sample the sticky flags
+    // register as one more edge would leave it (the scalar read_fflags()
+    // peeks *before* the instruction's idle tick). The scalar peek edge
+    // draws fm_rand; the draw is rewound so the real edge replays it.
     if (read_mask_) {
-        sim_.save_state_into(planes_save_);
-        rngs_save_ = rngs_;
-        draw_rand(read_mask_);
-        sim_.step();
+        uint64_t drawn = speculative_draw(read_mask_);
+        for (size_t i = 0; i < flags_d_nets_.size(); ++i)
+            flag_planes_[i] = sim_.value(flags_d_nets_[i]);
         for (uint64_t m = read_mask_; m; m &= m - 1) {
             int lane = lowest_lane(m);
             FuBackend::FuResult &res = results_[size_t(lane)];
             res = {};
-            for (size_t i = 0; i < flags_nets_.size(); ++i)
-                res.flags |= uint8_t(bit_of(sim_.value(flags_nets_[i]), lane)
-                                     << i);
+            for (size_t i = 0; i < flag_planes_.size(); ++i)
+                res.flags |= uint8_t(bit_of(flag_planes_[i], lane) << i);
             ++cycles_[size_t(lane)];
         }
-        sim_.restore_state(planes_save_);
-        rngs_ = rngs_save_;
+        rewind_rand(drawn);
     }
 
     // 2. The real edge. Operand planes hold for idle lanes; valid/clear
@@ -167,18 +199,19 @@ BatchNetlistEngine::commit_round()
     for (uint64_t m = participant_mask_; m; m &= m - 1)
         ++cycles_[size_t(lowest_lane(m))];
 
-    // 3. Post-tick speculative edge: Op lanes read their results one
-    // edge ahead (the scalar peek_outputs()), without disturbing the
-    // committed timeline or any lane's fm_rand stream.
+    // 3. Post-tick peek: Op lanes read their results one edge ahead
+    // (the scalar peek_outputs()) off the output registers' D pins.
+    // The draw covers every random participant, not only the peeking
+    // lanes: the next round's edge replays exactly these draws, so it
+    // finds fm_rand unchanged and, when its new operands feed only
+    // stage-1 registers, reuses this settle. A lane's fm_rand bit only
+    // reaches its own fault, so the extra draws change no Op result.
     if (op_mask_) {
-        sim_.save_state_into(planes_save_);
-        rngs_save_ = rngs_;
-        draw_rand(op_mask_);
-        sim_.step();
+        uint64_t drawn = speculative_draw(participant_mask_);
         for (uint64_t m = op_mask_; m; m &= m - 1)
             results_[size_t(lowest_lane(m))] = {};
-        for (size_t i = 0; i < r_nets_.size(); ++i) {
-            uint64_t plane = sim_.value(r_nets_[i]);
+        for (size_t i = 0; i < r_d_nets_.size(); ++i) {
+            uint64_t plane = sim_.value(r_d_nets_[i]);
             for (uint64_t m = op_mask_; m; m &= m - 1) {
                 int lane = lowest_lane(m);
                 results_[size_t(lane)].value |=
@@ -186,18 +219,17 @@ BatchNetlistEngine::commit_round()
             }
         }
         if (kind_ == ModuleKind::Fpu32) {
-            std::vector<uint64_t> flag_planes(flags_nets_.size());
-            for (size_t i = 0; i < flags_nets_.size(); ++i)
-                flag_planes[i] = sim_.value(flags_nets_[i]);
-            uint64_t valid_plane = sim_.value(valid_out_net_);
-            uint64_t ack_plane = sim_.value(ack_net_);
-            uint64_t dbg_plane = sim_.value(dbg_net_);
+            for (size_t i = 0; i < flags_d_nets_.size(); ++i)
+                flag_planes_[i] = sim_.value(flags_d_nets_[i]);
+            uint64_t valid_plane = sim_.value(valid_out_d_net_);
+            uint64_t ack_plane = sim_.value(ack_d_net_);
+            uint64_t dbg_plane = sim_.value(dbg_d_net_);
             for (uint64_t m = op_mask_; m; m &= m - 1) {
                 int lane = lowest_lane(m);
                 uint64_t bit = uint64_t(1) << lane;
                 FuBackend::FuResult &res = results_[size_t(lane)];
-                for (size_t i = 0; i < flags_nets_.size(); ++i)
-                    res.flags |= uint8_t(bit_of(flag_planes[i], lane) << i);
+                for (size_t i = 0; i < flag_planes_.size(); ++i)
+                    res.flags |= uint8_t(bit_of(flag_planes_[i], lane) << i);
                 res.stalled = !(bit_of(valid_plane, lane) &&
                                 bit_of(ack_plane, lane));
                 // dbg_out lags the tag toggle by one stage: this peek
@@ -211,8 +243,7 @@ BatchNetlistEngine::commit_round()
         }
         for (uint64_t m = op_mask_; m; m &= m - 1)
             ++cycles_[size_t(lowest_lane(m))];
-        sim_.restore_state(planes_save_);
-        rngs_ = rngs_save_;
+        rewind_rand(drawn);
     }
 
     participant_mask_ = op_mask_ = read_mask_ = clear_mask_ = 0;

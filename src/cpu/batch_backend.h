@@ -13,19 +13,24 @@
  * idle tick, an fflags read, or a flags-clear pulse) and commit_round()
  * advances every lane together:
  *
- *   1. a speculative pre-tick edge serving every ReadFflags lane (the
- *      scalar read_fflags() peeks *before* its idle tick);
+ *   1. a pre-tick peek serving every ReadFflags lane (the scalar
+ *      read_fflags() peeks *before* its idle tick);
  *   2. the one real edge every participant consumes, with per-lane
  *      valid/clear pulses and per-lane fm_rand streams;
- *   3. a speculative post-tick edge serving every Op lane (the scalar
+ *   3. a post-tick peek serving every Op lane (the scalar
  *      alu()/fpu()/mdu() peek their results one edge ahead).
  *
- * Speculative edges save/restore all planes and every lane RNG, so the
+ * The scalar backend peeks by taking a speculative edge and rolling it
+ * back. Every output it peeks (r, flags, valid_out, ack, dbg_out) is a
+ * register Q, so its value one edge ahead is its D pin's settled value
+ * now: this engine reads the D pins (resolved once at construction)
+ * instead, with no edge, no plane copy and no restore. Only the
+ * speculative fm_rand draw of a peeked random lane is rewound, so the
  * committed timeline — including each lane's fm_rand draw sequence and
- * cycle count — is bit-identical to 64 scalar NetlistBackends. Lanes
- * are independent by construction (bank fault muxes are exact
- * pass-throughs when disabled), so a lane's behaviour does not depend
- * on which other lanes share its wave.
+ * cycle count (a peek still counts as a cycle) — is bit-identical to 64
+ * scalar NetlistBackends. Lanes are independent by construction (bank
+ * fault muxes are exact pass-throughs when disabled), so a lane's
+ * behaviour does not depend on which other lanes share its wave.
  */
 #pragma once
 
@@ -79,7 +84,7 @@ class BatchNetlistEngine
     {
         return results_[size_t(lane)];
     }
-    /** Module clock cycles lane @p lane consumed (speculative included). */
+    /** Module clock cycles lane @p lane consumed (peeks included). */
     uint64_t cycles(int lane) const { return cycles_[size_t(lane)]; }
     /** Lane-local dbg_out tag mismatches (FPU transaction protocol). */
     uint64_t tag_mismatches(int lane) const
@@ -89,6 +94,9 @@ class BatchNetlistEngine
 
   private:
     void draw_rand(uint64_t lanes_mask);
+    /** Draw a peek's fm_rand bits; returns the lanes to rewind. */
+    uint64_t speculative_draw(uint64_t lanes_mask);
+    void rewind_rand(uint64_t drawn);
     uint64_t bit_of(uint64_t plane, int lane) const
     {
         return (plane >> lane) & 1;
@@ -98,12 +106,14 @@ class BatchNetlistEngine
     BatchSimulator sim_;
     bool has_random_input_ = false;
 
-    // Cached bus net ids (avoids per-round name lookups).
+    // Cached input bus nets and the D nets of the peeked output
+    // registers (avoids per-round name lookups).
     std::vector<NetId> a_nets_, b_nets_, op_nets_;
-    std::vector<NetId> r_nets_, flags_nets_;
+    std::vector<NetId> r_d_nets_, flags_d_nets_;
     NetId valid_net_ = kInvalidId, clear_net_ = kInvalidId;
-    NetId valid_out_net_ = kInvalidId, ack_net_ = kInvalidId;
-    NetId dbg_net_ = kInvalidId, rand_net_ = kInvalidId;
+    NetId valid_out_d_net_ = kInvalidId, ack_d_net_ = kInvalidId;
+    NetId dbg_d_net_ = kInvalidId, rand_net_ = kInvalidId;
+    std::vector<uint64_t> flag_planes_; ///< peek scratch
 
     // Held input planes (idle lanes keep their previous operands, as
     // scalar backends do) and the per-round pulse masks.
@@ -116,8 +126,7 @@ class BatchNetlistEngine
     uint64_t random_mask_ = 0;
 
     std::vector<Rng> rngs_;
-    std::vector<Rng> rngs_save_;
-    std::vector<uint64_t> planes_save_;
+    std::vector<Rng> rngs_save_; ///< pre-peek RNGs of the drawn lanes
 
     std::vector<FuBackend::FuResult> results_;
     std::vector<uint64_t> cycles_;

@@ -1,18 +1,70 @@
 #include "cpu/iss.h"
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "common/logging.h"
 #include "cpu/alu_ops.h"
 #include "cpu/mdu_ops.h"
 #include "cpu/softfp.h"
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#define VEGA_HAVE_MMAP 1
+#endif
+
 namespace vega::cpu {
 
-Iss::Iss(std::vector<Instr> program, IssConfig cfg)
-    : program_(std::move(program)), cfg_(cfg), mem_(cfg.memory_bytes, 0),
-      exec_counts_(program_.size(), 0)
+namespace {
+
+/**
+ * Zero-filled memory whose pages become resident on first touch: an
+ * anonymous mapping where available (calloc may hand back recycled
+ * heap that it must clear page by page).
+ */
+uint8_t *
+map_zero_pages(size_t bytes)
 {
+    VEGA_CHECK(bytes > 0, "ISS memory must be non-empty");
+#ifdef VEGA_HAVE_MMAP
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+#else
+    void *p = std::calloc(bytes, 1);
+    if (!p)
+        throw std::bad_alloc();
+#endif
+    return static_cast<uint8_t *>(p);
+}
+
+} // namespace
+
+void
+Iss::ReleasePages::operator()(uint8_t *p) const
+{
+#ifdef VEGA_HAVE_MMAP
+    munmap(p, bytes);
+#else
+    std::free(p);
+#endif
+}
+
+Iss::Iss(std::vector<Instr> program, IssConfig cfg)
+    : program_(std::move(program)), cfg_(cfg),
+      mem_(map_zero_pages(cfg.memory_bytes), ReleasePages{cfg.memory_bytes}),
+      store_lo_(cfg.memory_bytes), exec_counts_(program_.size(), 0)
+{
+}
+
+void
+Iss::load_program(const std::vector<Instr> &program)
+{
+    program_.assign(program.begin(), program.end());
+    exec_counts_.resize(program_.size());
+    reset();
 }
 
 void
@@ -22,7 +74,10 @@ Iss::reset()
     std::memset(f_, 0, sizeof(f_));
     fflags_ = 0;
     pc_ = 0;
-    std::fill(mem_.begin(), mem_.end(), 0);
+    if (store_lo_ < store_hi_)
+        std::memset(&mem_[store_lo_], 0, store_hi_ - store_lo_);
+    store_lo_ = cfg_.memory_bytes;
+    store_hi_ = 0;
     cycles_ = 0;
     instret_ = 0;
     halted_ = false;
@@ -46,21 +101,21 @@ void
 Iss::write_u32(uint32_t addr, uint32_t value)
 {
     VEGA_CHECK(mem_ok(addr, 4), "store out of bounds: ", addr);
-    std::memcpy(&mem_[addr], &value, 4);
+    std::memcpy(store_ptr(addr, 4), &value, 4);
 }
 
 uint8_t
 Iss::read_u8(uint32_t addr) const
 {
-    VEGA_CHECK(addr < mem_.size(), "load out of bounds: ", addr);
+    VEGA_CHECK(addr < cfg_.memory_bytes, "load out of bounds: ", addr);
     return mem_[addr];
 }
 
 void
 Iss::write_u8(uint32_t addr, uint8_t value)
 {
-    VEGA_CHECK(addr < mem_.size(), "store out of bounds: ", addr);
-    mem_[addr] = value;
+    VEGA_CHECK(addr < cfg_.memory_bytes, "store out of bounds: ", addr);
+    *store_ptr(addr, 1) = value;
 }
 
 bool
@@ -100,11 +155,11 @@ Iss::data_write_u32(uint32_t addr, uint32_t value)
     if (!plan.squash) {
         if (!mem_ok(plan.addr, 4))
             return false;
-        std::memcpy(&mem_[plan.addr], &value, 4);
+        std::memcpy(store_ptr(plan.addr, 4), &value, 4);
         if (plan.has_extra) {
             if (!mem_ok(plan.extra, 4))
                 return false;
-            std::memcpy(&mem_[plan.extra], &value, 4);
+            std::memcpy(store_ptr(plan.extra, 4), &value, 4);
         }
     }
     if (cfg_.record_mem_trace)
@@ -146,11 +201,11 @@ Iss::data_write_u8(uint32_t addr, uint8_t value)
     if (!plan.squash) {
         if (!mem_ok(plan.addr, 1))
             return false;
-        mem_[plan.addr] = value;
+        *store_ptr(plan.addr, 1) = value;
         if (plan.has_extra) {
             if (!mem_ok(plan.extra, 1))
                 return false;
-            mem_[plan.extra] = value;
+            *store_ptr(plan.extra, 1) = value;
         }
     }
     if (cfg_.record_mem_trace)

@@ -18,7 +18,9 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cpu/isa.h"
@@ -48,7 +50,11 @@ struct IssConfig
      * bit-identical when memory tracing is enabled.
      */
     bool record_mem_trace = false;
-    /** Memory size in bytes. */
+    /**
+     * Memory size in bytes. The memory is mapped zero-filled and its
+     * pages become resident only when touched, so a short test costs
+     * the pages it uses, not the whole size.
+     */
     size_t memory_bytes = 1 << 20;
 };
 
@@ -151,8 +157,19 @@ class Iss
     /** Attach a faulty-memory model; nullptr restores ideal memory. */
     void set_mem_backend(MemBackend *backend) { mem_backend_ = backend; }
 
-    /** Clear registers, memory, counters; pc back to 0. */
+    /**
+     * Clear registers, memory, counters; pc back to 0. Only the bytes
+     * stored to since the last reset (the store window) are zeroed, so
+     * a reset after a short test costs nothing like the whole memory.
+     */
     void reset();
+
+    /**
+     * Re-arm for another program: replace the program, then reset().
+     * Memory size, config and attached backends are kept, so one Iss
+     * can run test after test without reallocating its memory.
+     */
+    void load_program(const std::vector<Instr> &program);
 
     /** Run until Halt or the instruction budget expires. */
     Status run();
@@ -248,10 +265,17 @@ class Iss
         injected_ = nullptr;
         return r;
     }
+    /** Widen the store window over a checked store; returns its bytes. */
+    uint8_t *store_ptr(uint32_t addr, uint32_t bytes)
+    {
+        store_lo_ = std::min(store_lo_, size_t(addr));
+        store_hi_ = std::max(store_hi_, size_t(addr) + bytes);
+        return &mem_[addr];
+    }
     /** True when @p bytes at @p addr fit in memory (no u32 wrap). */
     bool mem_ok(uint32_t addr, uint32_t bytes) const
     {
-        return uint64_t(addr) + bytes <= mem_.size();
+        return uint64_t(addr) + bytes <= cfg_.memory_bytes;
     }
 
     /**
@@ -272,7 +296,16 @@ class Iss
     uint32_t f_[32] = {};
     uint8_t fflags_ = 0;
     uint32_t pc_ = 0;
-    std::vector<uint8_t> mem_;
+    /** Releases memory from map_zero_pages (iss.cpp) of @p bytes. */
+    struct ReleasePages
+    {
+        size_t bytes = 0;
+        void operator()(uint8_t *p) const;
+    };
+    std::unique_ptr<uint8_t[], ReleasePages> mem_;
+    /** Bytes [store_lo_, store_hi_) may be non-zero (empty if lo >= hi). */
+    size_t store_lo_ = 0;
+    size_t store_hi_ = 0;
     uint64_t cycles_ = 0;
     uint64_t instret_ = 0;
     bool halted_ = false;

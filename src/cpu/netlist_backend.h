@@ -11,7 +11,10 @@
  * architectural instruction stream), so it rides the scalar Simulator
  * and picks up the compiled EvalTape underneath it transparently —
  * the speculative save/tick/restore peek is slot-ordered state on the
- * same tape, never a re-lowering.
+ * same tape, never a re-lowering. The 64-lane wave engine
+ * (cpu/batch_backend.h) reads the same outputs off their registers' D
+ * pins instead; this edge-taking peek is the independent reference the
+ * wave lockstep tests compare it with.
  *
  * Observable fault behaviour surfaced to the ISS:
  *  - wrong results (architecturally visible, checked by test blocks);

@@ -60,8 +60,7 @@ BatchSimulator::set_input(NetId net, uint64_t lanes)
 {
     VEGA_CHECK(tape_->is_primary_input(net), "set_input on non-input net ",
                netlist().net(net).name);
-    planes_[tape_->slot(net)] = lanes;
-    dirty_ = true;
+    drive(tape_->slot(net), lanes);
 }
 
 void
@@ -73,13 +72,9 @@ BatchSimulator::set_bus_lane(const std::string &bus, int lane,
                bus);
     VEGA_CHECK(lane >= 0 && lane < kLanes, "lane out of range");
     uint64_t bit = uint64_t(1) << lane;
-    for (size_t i = 0; i < slots.size(); ++i) {
-        if (value.get(i))
-            planes_[slots[i]] |= bit;
-        else
-            planes_[slots[i]] &= ~bit;
-    }
-    dirty_ = true;
+    for (size_t i = 0; i < slots.size(); ++i)
+        drive(slots[i], value.get(i) ? planes_[slots[i]] | bit
+                                     : planes_[slots[i]] & ~bit);
 }
 
 void
@@ -89,8 +84,7 @@ BatchSimulator::set_bus_all(const std::string &bus, const BitVec &value)
     VEGA_CHECK(slots.size() == value.width(), "bus width mismatch on ",
                bus);
     for (size_t i = 0; i < slots.size(); ++i)
-        planes_[slots[i]] = value.get(i) ? ~uint64_t(0) : 0;
-    dirty_ = true;
+        drive(slots[i], value.get(i) ? ~uint64_t(0) : 0);
 }
 
 void
@@ -161,8 +155,7 @@ BatchSimulator::step()
     ++cycle_;
     batch_cycles_counter().inc();
     lane_cycles_counter().add(kLanes);
-    dirty_ = true;
-    eval();
+    dirty_ = true; // settled lazily by the next reader or edge
 }
 
 void

@@ -11,8 +11,12 @@
  *
  * Semantics per lane are exactly the Simulator's: combinational cells
  * settle in topological order, then step() commits every DFF
- * atomically and re-settles. Lockstep equivalence against 64 scalar
- * Simulator runs is pinned by tests/test_eval_tape.cpp.
+ * atomically. Settling is lazy: an edge or an input change only marks
+ * the tape dirty, and the next reader (value(), bus_value(), the next
+ * step()) pays for one settle. An input change dirties the tape only
+ * if the plane differs and some combinational instruction reads the
+ * input (EvalTape::feeds_logic). Lockstep equivalence against 64
+ * scalar Simulator runs is pinned by tests/test_eval_tape.cpp.
  *
  * Consumers: SpProfile::sample(BatchSimulator&) popcounts planes into
  * its per-cell counters (64 samples per call), and lift::fuzz_cover
@@ -48,7 +52,11 @@ class BatchSimulator
     /** Load DFF init values, zero all primary inputs, settle. */
     void reset();
 
-    /** Drive a primary input with a per-lane plane (bit L = lane L). */
+    /**
+     * Drive a primary input with a per-lane plane (bit L = lane L).
+     * Leaves a settled tape clean unless the plane changes and the
+     * input feeds combinational logic.
+     */
     void set_input(NetId net, uint64_t lanes);
 
     /** Drive a primary input to the same value in every lane. */
@@ -67,7 +75,10 @@ class BatchSimulator
     /** Settle combinational logic. Called implicitly by readers. */
     void eval();
 
-    /** One clock edge in every lane: settle, commit DFFs, settle. */
+    /**
+     * One clock edge in every lane: settle, then commit every DFF. The
+     * post-edge settle is left to the next reader.
+     */
     void step();
 
     /** Run @p n clock cycles (n * 64 lane-cycles). */
@@ -90,23 +101,26 @@ class BatchSimulator
 
     uint64_t cycle() const { return cycle_; }
 
-    /** Snapshot of all planes (slot-ordered, opaque to callers). */
-    std::vector<uint64_t> save_state() const { return planes_; }
-
     /**
-     * Snapshot into a caller-owned buffer, reusing its capacity. Hot
-     * paths that save/restore every cycle (the wave driver's
-     * speculative output peeks) avoid a per-cycle allocation this way.
+     * Snapshot of all planes (slot-ordered, opaque to callers). The
+     * combinational slots may be unsettled; restore_state() re-settles.
      */
-    void save_state_into(std::vector<uint64_t> &out) const
-    {
-        out.assign(planes_.begin(), planes_.end());
-    }
+    std::vector<uint64_t> save_state() const { return planes_; }
 
     /** Restore a snapshot; panics unless it matches this netlist. */
     void restore_state(const std::vector<uint64_t> &state);
 
   private:
+    /** Write an input plane; dirty only if it changes settled logic. */
+    void drive(SlotId slot, uint64_t lanes)
+    {
+        if (planes_[slot] == lanes)
+            return;
+        planes_[slot] = lanes;
+        if (tape_->feeds_logic(slot))
+            dirty_ = true;
+    }
+
     std::shared_ptr<const EvalTape> tape_;
     std::vector<uint64_t> planes_;   ///< per-slot lane planes
     std::vector<uint64_t> dff_next_; ///< edge-commit scratch

@@ -52,11 +52,14 @@ EvalTape::EvalTape(const Netlist &nl) : nl_(nl)
     in1_.reserve(topo.size());
     in2_.reserve(topo.size());
     out_.reserve(topo.size());
+    feeds_logic_.assign(nl.num_nets(), 0);
     for (CellId c : topo) {
         const Cell &cell = nl.cell(c);
         if (cell.type == CellType::Const0 || cell.type == CellType::Const1)
             continue;
         int n_in = cell.num_inputs();
+        for (int k = 0; k < n_in; ++k)
+            feeds_logic_[slot_of_net_[cell.in[k]]] = 1;
         op_.push_back(uint8_t(cell.type));
         in0_.push_back(n_in > 0 ? slot_of_net_[cell.in[0]] : 0);
         in1_.push_back(n_in > 1 ? slot_of_net_[cell.in[1]] : 0);

@@ -99,6 +99,16 @@ class EvalTape
         return nl_.net(net).is_primary_input;
     }
 
+    /**
+     * True if some combinational instruction reads @p slot. A primary
+     * input that feeds only DFF D pins (ALU32's a/b/op, captured by the
+     * stage-1 registers) cannot change any settled value, so the
+     * interpreters leave the tape clean when such an input changes;
+     * the next edge still commits the new value, since commits read
+     * the D slot directly.
+     */
+    bool feeds_logic(SlotId slot) const { return feeds_logic_[slot] != 0; }
+
   private:
     const Netlist &nl_;
 
@@ -107,6 +117,7 @@ class EvalTape
 
     std::vector<uint8_t> op_; ///< CellType as a byte
     std::vector<SlotId> in0_, in1_, in2_, out_;
+    std::vector<uint8_t> feeds_logic_; ///< slot -> read by an instruction
 
     std::vector<DffRule> dff_rules_;
     std::vector<ConstRule> const_rules_;

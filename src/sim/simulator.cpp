@@ -58,8 +58,7 @@ Simulator::set_input(NetId net, bool value)
 {
     VEGA_CHECK(tape_->is_primary_input(net), "set_input on non-input net ",
                netlist().net(net).name);
-    values_[tape_->slot(net)] = value ? 1 : 0;
-    dirty_ = true;
+    drive(tape_->slot(net), value ? 1 : 0);
 }
 
 void
@@ -69,8 +68,7 @@ Simulator::set_bus(const std::string &bus, const BitVec &value)
     VEGA_CHECK(slots.size() == value.width(), "bus width mismatch on ",
                bus);
     for (size_t i = 0; i < slots.size(); ++i)
-        values_[slots[i]] = value.get(i) ? 1 : 0;
-    dirty_ = true;
+        drive(slots[i], value.get(i) ? 1 : 0);
 }
 
 void
@@ -139,8 +137,7 @@ Simulator::step()
         values_[dffs[i].q] = dff_next_[i];
     ++cycle_;
     cycles_counter().inc();
-    dirty_ = true;
-    eval();
+    dirty_ = true; // settled lazily by the next reader or edge
 }
 
 void

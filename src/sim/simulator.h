@@ -42,7 +42,11 @@ class Simulator
     /** Load DFF init values, zero all primary inputs, settle. */
     void reset();
 
-    /** Drive a single primary-input net. Takes effect at the next eval. */
+    /**
+     * Drive a single primary-input net. Takes effect at the next eval;
+     * a settled tape stays clean unless the value changes and the net
+     * feeds combinational logic (EvalTape::feeds_logic).
+     */
     void set_input(NetId net, bool value);
 
     /** Drive an input bus (LSB first); width must match. */
@@ -51,7 +55,10 @@ class Simulator
     /** Settle combinational logic. Called implicitly by step()/readers. */
     void eval();
 
-    /** One clock edge: settle, then commit all DFFs, then settle again. */
+    /**
+     * One clock edge: settle, then commit all DFFs. The post-edge
+     * settle is left to the next reader (or the next edge).
+     */
     void step();
 
     /** Run @p n clock cycles. */
@@ -68,7 +75,8 @@ class Simulator
     /**
      * Snapshot of all net values (for speculative pipeline reads).
      * Slot-ordered and opaque: only meaningful to restore_state() on a
-     * simulator over the same netlist.
+     * simulator over the same netlist. Combinational slots may be
+     * unsettled; restore_state() re-settles on the next read.
      */
     std::vector<uint8_t> save_state() const { return values_; }
 
@@ -81,6 +89,16 @@ class Simulator
     void restore_state(const std::vector<uint8_t> &state);
 
   private:
+    /** Write an input value; dirty only if it changes settled logic. */
+    void drive(SlotId slot, uint8_t value)
+    {
+        if (values_[slot] == value)
+            return;
+        values_[slot] = value;
+        if (tape_->feeds_logic(slot))
+            dirty_ = true;
+    }
+
     std::shared_ptr<const EvalTape> tape_;
     std::vector<uint8_t> values_;   ///< per-slot current value
     std::vector<uint8_t> dff_next_; ///< edge-commit scratch

@@ -6,7 +6,10 @@
  * every thread count, on every module family. Plus unit checks of the
  * two properties the contract rests on: disabled fault-bank muxes are
  * exact pass-throughs, and wave characterization reproduces scalar
- * workload_corrupts() verdict for verdict.
+ * workload_corrupts() verdict for verdict. The byte-identity also
+ * covers RandomInput faults (per-lane fm_rand streams) and an FPU
+ * hold-fault bank (an input that feeds logic), and a guard pins the
+ * engine's cost: one tape settle per ALU round.
  */
 #include "campaign/wave.h"
 
@@ -17,6 +20,7 @@
 #include "cpu/alu_ops.h"
 #include "cpu/softfp.h"
 #include "lift/failure_model.h"
+#include "obs/metrics.h"
 #include "rtl/alu32.h"
 #include "rtl/fpu32.h"
 #include "vega/workflow.h"
@@ -28,8 +32,22 @@ struct WaveEnv
 {
     HwModule module;
     std::vector<sta::EndpointPair> pairs;
+    /** Every liftable hold pair of the aged module. */
+    std::vector<sta::EndpointPair> hold_pairs;
     std::vector<runtime::TestCase> suite;
 };
+
+/** Liftable pairs of @p aged: the first @p n, plus every hold pair. */
+void
+take_pairs(WaveEnv &env, const AgingAnalysisResult &aged, size_t n)
+{
+    for (const sta::EndpointPair &p : aged.liftable_pairs())
+        if (!p.is_setup)
+            env.hold_pairs.push_back(p);
+    env.pairs = aged.liftable_pairs();
+    if (env.pairs.size() > n)
+        env.pairs.resize(n);
+}
 
 runtime::TestCase
 alu_test(const char *name, AluOp op, uint32_t a, uint32_t b, int pair)
@@ -78,9 +96,7 @@ alu_env()
         cfg.max_trace = 1500;
         auto aged =
             run_aging_analysis(env->module, lib, minver_trace(), cfg);
-        env->pairs = aged.liftable_pairs();
-        if (env->pairs.size() > 2)
-            env->pairs.resize(2);
+        take_pairs(*env, aged, 2);
         env->suite = {
             alu_test("c0", AluOp::Add, 0xffffffff, 1, 0),
             alu_test("c1", AluOp::Sub, 0, 1, 0),
@@ -105,9 +121,7 @@ fpu_env()
         cfg.max_trace = 1500;
         auto aged =
             run_aging_analysis(env->module, lib, minver_trace(), cfg);
-        env->pairs = aged.liftable_pairs();
-        if (env->pairs.size() > 2)
-            env->pairs.resize(2);
+        take_pairs(*env, aged, 2);
         // The synthetic screen covers every wave transaction kind: ops
         // writing f-regs, a compare writing an x-reg, and an fflags
         // check (csrr/csrw fflags through the split protocol).
@@ -139,11 +153,11 @@ base_config(uint64_t seed, size_t threads, bool waves)
 }
 
 std::vector<lift::FailureModelSpec>
-all_fault_specs(const WaveEnv &e,
+all_fault_specs(const std::vector<sta::EndpointPair> &pairs,
                 const std::vector<lift::FaultConstant> &constants)
 {
     std::vector<lift::FailureModelSpec> specs;
-    for (const auto &pair : e.pairs)
+    for (const auto &pair : pairs)
         for (lift::FaultConstant c : constants) {
             lift::FailureModelSpec fm;
             fm.launch = pair.launch;
@@ -159,7 +173,7 @@ TEST(WaveCampaign, FaultBankDisabledLanesArePassThrough)
 {
     const WaveEnv &e = alu_env();
     auto specs = all_fault_specs(
-        e, {lift::FaultConstant::Zero, lift::FaultConstant::One});
+        e.pairs, {lift::FaultConstant::Zero, lift::FaultConstant::One});
     lift::FaultBank bank =
         lift::build_fault_bank(e.module.netlist, specs);
     EXPECT_EQ(bank.num_faults, specs.size());
@@ -177,7 +191,7 @@ TEST(WaveCampaign, CharacterizeWaveMatchesScalarVerdicts)
     const WaveEnv &e = alu_env();
     std::vector<lift::FaultConstant> constants = {
         lift::FaultConstant::Zero, lift::FaultConstant::One};
-    auto specs = all_fault_specs(e, constants);
+    auto specs = all_fault_specs(e.pairs, constants);
     lift::FaultBank bank =
         lift::build_fault_bank(e.module.netlist, specs);
 
@@ -252,6 +266,101 @@ TEST(WaveCampaign, FpuReportsByteIdenticalAcrossModes)
     CampaignReport b = run_campaign(e.module, e.pairs, e.suite, waves);
     EXPECT_EQ(a.to_json(false), b.to_json(false));
     EXPECT_GT(a.detected + a.escapes + a.benign, 0u);
+}
+
+TEST(WaveCampaign, RandomConstantAluReportsByteIdentical)
+{
+    // RandomInput faults read the bank's fm_rand input, whose per-lane
+    // draws the batch engine must replay exactly as each scalar
+    // backend draws them — peeks included.
+    const WaveEnv &e = alu_env();
+    for (uint64_t seed : {5ull, 23ull}) {
+        CampaignConfig scalar = base_config(seed, 1, false);
+        scalar.constants = {lift::FaultConstant::Zero,
+                            lift::FaultConstant::One,
+                            lift::FaultConstant::RandomInput};
+        CampaignConfig waves = scalar;
+        waves.wave_execution = true;
+        waves.threads = 2;
+        CampaignReport a = run_campaign(e.module, e.pairs, e.suite, scalar);
+        CampaignReport b = run_campaign(e.module, e.pairs, e.suite, waves);
+        EXPECT_EQ(a.to_json(false), b.to_json(false)) << "seed " << seed;
+    }
+}
+
+TEST(WaveCampaign, RandomConstantFpuReportsByteIdentical)
+{
+    // One fault class: the scalar FPU oracle characterizes each class
+    // with a full representative-kernel run, seconds apiece.
+    const WaveEnv &e = fpu_env();
+    std::vector<sta::EndpointPair> pairs(e.pairs.begin(),
+                                         e.pairs.begin() + 1);
+    CampaignConfig scalar = base_config(13, 1, false);
+    scalar.num_jobs = 12;
+    scalar.constants = {lift::FaultConstant::RandomInput};
+    CampaignConfig waves = scalar;
+    waves.wave_execution = true;
+    waves.threads = 2;
+    CampaignReport a = run_campaign(e.module, pairs, e.suite, scalar);
+    CampaignReport b = run_campaign(e.module, pairs, e.suite, waves);
+    EXPECT_EQ(a.to_json(false), b.to_json(false));
+}
+
+TEST(WaveCampaign, FpuHoldFaultReportsByteIdentical)
+{
+    // In a hold-fault bank the FPU's valid input reaches the fault
+    // activation logic, so the engine's input-aware settle must
+    // re-settle when valid changes.
+    const WaveEnv &e = fpu_env();
+    ASSERT_FALSE(e.hold_pairs.empty());
+    auto specs =
+        all_fault_specs(e.hold_pairs, {lift::FaultConstant::Zero});
+    lift::FaultBank bank = lift::build_fault_bank(e.module.netlist, specs);
+    EvalTape tape(bank.netlist);
+    EXPECT_TRUE(tape.feeds_logic(tape.slot(bank.netlist.bus("valid")[0])));
+
+    CampaignConfig scalar = base_config(3, 1, false);
+    scalar.num_jobs = 12;
+    scalar.constants = {lift::FaultConstant::Zero};
+    CampaignConfig waves = scalar;
+    waves.wave_execution = true;
+    waves.threads = 2;
+    CampaignReport a =
+        run_campaign(e.module, e.hold_pairs, e.suite, scalar);
+    CampaignReport b =
+        run_campaign(e.module, e.hold_pairs, e.suite, waves);
+    EXPECT_EQ(a.to_json(false), b.to_json(false));
+}
+
+TEST(WaveCampaign, CharacterizeWaveSettlesOncePerRound)
+{
+    // Output peeks read the output registers' D pins and the post-edge
+    // settle is lazy, so an ALU round (whose operands feed only stage-1
+    // registers) costs one tape pass: one settle per clock edge, plus
+    // the reset settle. RandomInput lanes are included: the peek's
+    // fm_rand draws must leave the next edge's settle reusable.
+    const WaveEnv &e = alu_env();
+    auto specs = all_fault_specs(
+        e.pairs, {lift::FaultConstant::Zero, lift::FaultConstant::One,
+                  lift::FaultConstant::RandomInput});
+    lift::FaultBank bank = lift::build_fault_bank(e.module.netlist, specs);
+    WaveContext ctx;
+    ctx.kind = e.module.kind;
+    ctx.tape = std::make_shared<const EvalTape>(bank.netlist);
+    ctx.num_faults = bank.num_faults;
+    ctx.fault_random = &bank.fault_random;
+    std::vector<std::pair<size_t, uint64_t>> req;
+    for (size_t i = 0; i < specs.size(); ++i)
+        req.push_back({i, job_stream(7, i)});
+
+    obs::Counter &evals = obs::counter("sim.batch_evals");
+    obs::Counter &cycles = obs::counter("sim.batch_cycles");
+    uint64_t evals0 = evals.value(), cycles0 = cycles.value();
+    characterize_wave(ctx, req);
+    uint64_t d_evals = evals.value() - evals0;
+    uint64_t d_cycles = cycles.value() - cycles0;
+    EXPECT_GT(d_cycles, 1000u);
+    EXPECT_LE(d_evals, d_cycles + 1);
 }
 
 TEST(WaveCampaign, StopAfterJobsHonoredMidWave)

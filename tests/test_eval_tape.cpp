@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "netlist/builder.h"
+#include "obs/metrics.h"
 #include "rtl/alu32.h"
 #include "rtl/fpu32.h"
 #include "sim/batch_sim.h"
@@ -265,6 +266,90 @@ TEST(BatchSimulator, LockstepWithScalarOnFpu32)
 {
     static HwModule m = rtl::make_fpu32();
     lockstep_module(m.netlist, true, 2424);
+}
+
+/**
+ * Input "a" feeds only register q (like ALU32's operands feed only its
+ * stage-1 registers); input "en" gates q into the output through an
+ * AND, so it feeds combinational logic.
+ */
+Netlist
+register_only_input_netlist()
+{
+    Netlist nl("regonly");
+    Builder b(nl);
+    NetId a = nl.add_input_bus("a", 1)[0];
+    NetId en = nl.add_input_bus("en", 1)[0];
+    NetId q = nl.new_net("q");
+    nl.add_dff("ff", a, q, false);
+    nl.add_output_bus("r", {b.and_(q, en)});
+    nl.add_output_bus("q", {q});
+    return nl;
+}
+
+TEST(EvalTape, FeedsLogicMarksOnlyCombinationalReads)
+{
+    Netlist nl = register_only_input_netlist();
+    EvalTape tape(nl);
+    EXPECT_FALSE(tape.feeds_logic(tape.slot(nl.bus("a")[0])));
+    EXPECT_TRUE(tape.feeds_logic(tape.slot(nl.bus("en")[0])));
+    EXPECT_TRUE(tape.feeds_logic(tape.slot(nl.bus("q")[0])));
+    EXPECT_FALSE(tape.feeds_logic(tape.slot(nl.bus("r")[0])));
+}
+
+TEST(BatchSimulator, RegisterOnlyInputLeavesSettleClean)
+{
+    Netlist nl = register_only_input_netlist();
+    BatchSimulator sim(nl);
+    NetId a = nl.bus("a")[0], en = nl.bus("en")[0];
+    NetId q = nl.bus("q")[0], r = nl.bus("r")[0];
+    obs::Counter &evals = obs::counter("sim.batch_evals");
+
+    sim.set_input(en, ~uint64_t(0));
+    EXPECT_EQ(sim.value(r), 0u);
+    uint64_t settled = evals.value();
+    const uint64_t lanes = 0x00ff00ff00ff00ffull;
+    sim.set_input(a, lanes);
+    EXPECT_EQ(sim.value(r), 0u);
+    EXPECT_EQ(evals.value(), settled) << "register-only input re-settled";
+
+    // The edge still commits the new value, and the post-edge settle
+    // waits for the first reader.
+    sim.step();
+    EXPECT_EQ(evals.value(), settled);
+    EXPECT_EQ(sim.value(q), lanes);
+    EXPECT_EQ(sim.value(r), lanes);
+    EXPECT_EQ(evals.value(), settled + 1);
+
+    // An unchanged plane never dirties; a changed logic input does.
+    sim.set_input(en, ~uint64_t(0));
+    EXPECT_EQ(sim.value(r), lanes);
+    EXPECT_EQ(evals.value(), settled + 1);
+    sim.set_input(en, 0);
+    EXPECT_EQ(sim.value(r), 0u);
+    EXPECT_EQ(evals.value(), settled + 2);
+}
+
+TEST(Simulator, RegisterOnlyInputLeavesSettleClean)
+{
+    Netlist nl = register_only_input_netlist();
+    Simulator sim(nl);
+    NetId a = nl.bus("a")[0], en = nl.bus("en")[0];
+    NetId q = nl.bus("q")[0], r = nl.bus("r")[0];
+    obs::Counter &evals = obs::counter("sim.evals");
+
+    sim.set_input(en, true);
+    EXPECT_FALSE(sim.value(r));
+    uint64_t settled = evals.value();
+    sim.set_input(a, true);
+    EXPECT_FALSE(sim.value(r));
+    EXPECT_EQ(evals.value(), settled) << "register-only input re-settled";
+
+    sim.step();
+    EXPECT_EQ(evals.value(), settled);
+    EXPECT_TRUE(sim.value(q));
+    EXPECT_TRUE(sim.value(r));
+    EXPECT_EQ(evals.value(), settled + 1);
 }
 
 TEST(BatchSimulator, SaveRestoreRoundTrip)

@@ -162,6 +162,43 @@ TEST(Iss, OutOfBoundsStoreTraps)
     EXPECT_EQ(iss.run(), Iss::Status::Trap);
 }
 
+TEST(Iss, LoadProgramRearmsWithCleanMemory)
+{
+    // Stores at both ends of memory widen the store window; re-arming
+    // with another program must zero exactly what they wrote and keep
+    // the full memory size (the last word stores, one past it traps).
+    Asm w;
+    w.li(5, 0xcafef00d);
+    w.li(6, 64);
+    w.sw(5, 6, 0);
+    w.li(6, (1 << 20) - 4);
+    w.sw(5, 6, 0);
+    w.sb(5, 6, -1);
+    w.halt();
+    Iss iss(w.finish());
+    ASSERT_EQ(iss.run(), Iss::Status::Halted);
+    ASSERT_EQ(iss.read_u32((1 << 20) - 4), 0xcafef00du);
+
+    Asm r;
+    r.li(6, 64);
+    r.lw(7, 6, 0);
+    r.li(6, (1 << 20) - 8);
+    r.lw(8, 6, 4);
+    r.lw(9, 6, 0);
+    r.li(6, 1 << 20);
+    r.sw(5, 6, 0);
+    r.halt();
+    iss.load_program(r.finish());
+    EXPECT_EQ(iss.instret(), 0u);
+    EXPECT_EQ(iss.reg(5), 0u);
+    EXPECT_EQ(iss.exec_counts().size(), iss.program().size());
+    EXPECT_EQ(iss.run(), Iss::Status::Trap);
+    EXPECT_EQ(iss.reg(7), 0u);
+    EXPECT_EQ(iss.reg(8), 0u);
+    EXPECT_EQ(iss.reg(9), 0u);
+    EXPECT_EQ(iss.exec_counts()[0], 1u);
+}
+
 TEST(Iss, WildJumpTraps)
 {
     Asm a;
