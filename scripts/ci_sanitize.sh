@@ -64,14 +64,17 @@ ctest --test-dir "$build" --output-on-failure \
     -R 'CoverBatch|SatSolver|FormalIncremental|LiftOracle' -j "$jobs"
 echo "ci_sanitize: portfolio determinism gate clean"
 
-# Wave lockstep gate: wave campaigns must stay byte-identical to the
-# scalar oracle. The batch engine reads output registers' D pins by
-# resolved net index, packs and unpacks 64 lanes per plane, and skips
-# settles by the tape's feeds_logic map; an off-by-one in any of them
-# is an out-of-bounds read or a wrong lane bit. Run the wave, batch
-# simulator and tape tests focused so such a bug fails readably.
+# Wave lockstep gate: the campaign executor must stay byte-identical
+# to the scalar reference (tests/campaign_oracle.h). The batch engine
+# reads output registers' D pins by resolved net index, packs and
+# unpacks 64 lanes per plane, and skips settles by the tape's
+# feeds_logic map; an off-by-one in any of them is an out-of-bounds
+# read or a wrong lane bit. The one executor also carries the fault
+# hook, the retry ladder and the memory path, so their tests run here
+# too. Run them focused so such a bug fails readably.
 ctest --test-dir "$build" --output-on-failure \
-    -R 'WaveCampaign|BatchSimulator|EvalTape' -j "$jobs"
+    -R 'WaveCampaign|CampaignFaults|MemCampaign|BatchSimulator|EvalTape' \
+    -j "$jobs"
 echo "ci_sanitize: wave lockstep gate clean"
 
 # Thread-scaling gate: the campaign engine must actually scale where

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
+#include <functional>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
-#include "campaign/engine.h"
 #include "campaign/journal.h"
 #include "campaign/shard.h"
 #include "campaign/thread_pool.h"
@@ -40,15 +42,17 @@ worker_jobs_counter()
     return *c;
 }
 
-lift::FailureModelSpec
-fault_spec(const sta::EndpointPair &pair, lift::FaultConstant c)
+/** what() of the exception in flight; call only inside a catch. */
+std::string
+current_error()
 {
-    lift::FailureModelSpec fm;
-    fm.launch = pair.launch;
-    fm.capture = pair.capture;
-    fm.is_setup = pair.is_setup;
-    fm.constant = c;
-    return fm;
+    try {
+        throw;
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "non-standard exception";
+    }
 }
 
 /**
@@ -74,35 +78,24 @@ make_spec(const CampaignConfig &cfg, size_t npairs, uint64_t id)
 }
 
 /**
- * One Monte Carlo injection. Functional-unit campaigns mount the
- * failing netlist as the ISS's unit; memory campaigns mount the
- * classified wrong-address fault as the ISS's data-memory backend
- * (@p mem_cls, ignored otherwise).
+ * One memory-module injection: the classified wrong-address fault
+ * @p cls mounted as the ISS's data-memory backend, the aging library
+ * run slot by slot. A memory fault has no netlist to batch over, so a
+ * memory chunk runs its jobs one after another.
  */
 JobResult
-run_job(ModuleKind kind, const lift::FailingNetlist &failing,
-        const mem::MemFaultClass &mem_cls,
-        const std::vector<runtime::TestCase> &suite, const JobSpec &spec,
-        bool corrupts)
+run_march_job(const mem::MemFaultClass &cls,
+              const std::vector<runtime::TestCase> &suite,
+              const WaveJob &job)
 {
+    const JobSpec &spec = job.spec;
     JobResult res;
     res.id = spec.id;
     res.pair_index = spec.pair_index;
     res.constant = spec.constant;
     res.policy = spec.policy;
 
-    std::optional<NetlistEngine> netlist_engine;
-    std::optional<mem::MarchEngine> march_engine;
-    runtime::Engine *engine;
-    if (is_mem_module(kind)) {
-        march_engine.emplace(mem_cls);
-        engine = &*march_engine;
-    } else {
-        netlist_engine.emplace(kind, failing.netlist,
-                               failing.has_random_input, spec.seed);
-        engine = &*netlist_engine;
-    }
-
+    mem::MarchEngine engine(cls);
     runtime::AgingLibraryOptions opt;
     opt.policy = spec.policy;
     opt.probability = spec.probability;
@@ -110,7 +103,7 @@ run_job(ModuleKind kind, const lift::FailingNetlist &failing,
     runtime::AgingLibrary lib(suite, opt);
 
     for (uint64_t slot = 0; slot < spec.max_slots; ++slot) {
-        runtime::Detection d = lib.run_next(*engine);
+        runtime::Detection d = lib.run_next(engine);
         if (d != runtime::Detection::None) {
             res.detected = true;
             res.kind = d;
@@ -119,11 +112,23 @@ run_job(ModuleKind kind, const lift::FailingNetlist &failing,
         }
     }
     res.tests_dispatched = lib.runs();
-    res.sim_cycles = netlist_engine ? netlist_engine->cycles()
-                                    : march_engine->cycles();
-    res.corrupts_workload = corrupts;
-    res.escape = corrupts && !res.detected;
+    res.sim_cycles = engine.cycles();
+    res.corrupts_workload = job.corrupts;
+    res.escape = job.corrupts && !res.detected;
     return res;
+}
+
+/** Submit @p items to @p pool in id-ordered chunks of kWaveLanes. */
+template <class T, class Task>
+void
+submit_chunks(ThreadPool &pool, const std::vector<T> &items, Task task)
+{
+    for (size_t base = 0; base < items.size(); base += kWaveLanes) {
+        size_t end = std::min(items.size(), base + kWaveLanes);
+        std::vector<T> chunk(items.begin() + long(base),
+                             items.begin() + long(end));
+        pool.submit([task, chunk = std::move(chunk)] { task(chunk); });
+    }
 }
 
 } // namespace
@@ -220,58 +225,102 @@ try_run_campaign(const HwModule &module,
             return opened.error();
     }
 
-    // The work list: job ids this shard owns and no prior run has
-    // settled. Specs are pure functions of (seed, id), so shards can
-    // compute them independently and the union over shards is exactly
-    // the unsharded job set.
-    std::vector<uint64_t> todo;
+    // The work list: jobs this shard owns and no prior run has settled.
+    // Specs are pure functions of (seed, id), so shards can compute
+    // them independently and the union over shards is exactly the
+    // unsharded job set.
+    std::vector<JobSpec> todo;
     todo.reserve(size_t(shard_job_count(shard, cfg.num_jobs)));
+    auto fault_index = [nconst](const JobSpec &s) {
+        return s.pair_index * nconst + s.constant_index;
+    };
     std::vector<char> needed(npairs * nconst, 0);
     for (uint64_t id = 0; id < cfg.num_jobs; ++id) {
         if (!shard_owns(shard, id) || skip[id])
             continue;
-        todo.push_back(id);
-        JobSpec spec = make_spec(cfg, npairs, id);
-        needed[spec.pair_index * nconst + spec.constant_index] = 1;
+        todo.push_back(make_spec(cfg, npairs, id));
+        needed[fault_index(todo.back())] = 1;
     }
-    size_t needed_count = 0;
-    for (char n : needed)
-        needed_count += size_t(n);
 
     auto t0 = std::chrono::steady_clock::now();
     ThreadPool pool(cfg.threads);
-    std::optional<ProgressMeter> meter;
-    if (cfg.progress || cfg.progress_sink)
-        meter.emplace(needed_count + todo.size(),
-                      cfg.progress_interval, cfg.progress_sink);
 
-    // Wave mode splices every needed fault into ONE bank netlist
-    // (disabled faults are exact pass-throughs) compiled to ONE shared
-    // tape, then runs characterization and injection in 64-episode
-    // waves over it. Memory-module campaigns stay on the scalar
-    // MarchEngine path, as do runs with a job_fault_hook (the hook's
-    // per-attempt throw semantics are scalar by definition); any wave
-    // that throws falls back to the scalar oracle per job, so wave
-    // execution is purely a throughput knob.
-    bool use_waves = cfg.wave_execution && !is_mem_module(module.kind) &&
-                     !cfg.job_fault_hook;
+    // The module kind's batch pair, picked once. `characterize` maps up
+    // to kWaveLanes fault indices to their corrupts verdicts; `run`
+    // maps up to kWaveLanes jobs to their results, in input order. Both
+    // throw if any item fails. A functional unit runs both as
+    // BatchSimulator waves over one fault-bank netlist that splices in
+    // every needed fault (disabled faults are exact pass-throughs),
+    // compiled to one shared tape. A memory module has no netlist to
+    // batch: its pair classifies each fault's slow decode gate and runs
+    // each job on its own MarchEngine. WaveJob::bank_index is the
+    // fault's bank position, or for a memory module its fault index.
+    std::function<std::vector<char>(const std::vector<size_t> &)>
+        characterize;
+    std::function<std::vector<JobResult>(const std::vector<WaveJob> &)>
+        run;
+    std::vector<size_t> bank_pos(npairs * nconst, SIZE_MAX);
+    std::vector<char> corrupts(npairs * nconst, 0);
+    std::vector<std::string> char_error(npairs * nconst);
+    std::vector<mem::MemFaultClass> mem_faults;
     lift::FaultBank bank;
     WaveContext wave_ctx;
-    std::vector<size_t> bank_pos;
-    if (use_waves) {
-        try {
-            std::vector<lift::FailureModelSpec> bank_specs;
-            bank_pos.assign(npairs * nconst, SIZE_MAX);
-            for (size_t pi = 0; pi < npairs; ++pi)
-                for (size_t ci = 0; ci < nconst; ++ci)
-                    if (needed[pi * nconst + ci]) {
-                        bank_pos[pi * nconst + ci] = bank_specs.size();
-                        bank_specs.push_back(
-                            fault_spec(pairs[pi], cfg.constants[ci]));
-                    }
-            if (bank_specs.empty()) {
-                use_waves = false;
-            } else {
+    if (is_mem_module(module.kind)) {
+        mem_faults.resize(npairs * nconst);
+        for (size_t idx = 0; idx < bank_pos.size(); ++idx)
+            bank_pos[idx] = idx;
+        characterize = [&](const std::vector<size_t> &faults) {
+            std::vector<char> verdicts;
+            for (size_t k = 0; k < faults.size(); ++k) {
+                // Decoder lifting: the constant axis does not apply to
+                // slow-gate faults; every (pair, C) slot carries the
+                // pair's classified class, so a pair's later slots
+                // (adjacent in id order) copy its first.
+                size_t idx = faults[k];
+                if (k > 0 && faults[k - 1] / nconst == idx / nconst) {
+                    mem_faults[idx] = mem_faults[faults[k - 1]];
+                    verdicts.push_back(verdicts.back());
+                    continue;
+                }
+                CellId gate = mem::pick_decoder_gate(
+                    module.netlist, pairs[idx / nconst].worst);
+                if (gate == kInvalidId)
+                    throw std::runtime_error(
+                        "no decode gate on worst path");
+                mem_faults[idx] =
+                    mem::classify_slow_gate(module.netlist, gate);
+                verdicts.push_back(
+                    mem::mem_workload_corrupts(mem_faults[idx]));
+            }
+            return verdicts;
+        };
+        run = [&](const std::vector<WaveJob> &jobs) {
+            std::vector<JobResult> results;
+            for (const WaveJob &j : jobs)
+                results.push_back(
+                    run_march_job(mem_faults[j.bank_index], suite, j));
+            return results;
+        };
+    } else {
+        characterize = [&](const std::vector<size_t> &faults) {
+            std::vector<std::pair<size_t, uint64_t>> req;
+            for (size_t idx : faults)
+                req.push_back(
+                    {bank_pos[idx], job_stream(~cfg.seed, uint64_t(idx))});
+            return characterize_wave(wave_ctx, req);
+        };
+        run = [&](const std::vector<WaveJob> &jobs) {
+            return run_wave(wave_ctx, jobs);
+        };
+        std::vector<lift::FailureModelSpec> bank_specs;
+        for (size_t idx = 0; idx < needed.size(); ++idx)
+            if (needed[idx]) {
+                bank_pos[idx] = bank_specs.size();
+                bank_specs.push_back(lift::fault_spec(
+                    pairs[idx / nconst], cfg.constants[idx % nconst]));
+            }
+        if (!bank_specs.empty()) {
+            try {
                 VEGA_SPAN("campaign.build_bank");
                 bank = lift::build_fault_bank(module.netlist, bank_specs);
                 wave_ctx.kind = module.kind;
@@ -280,126 +329,56 @@ try_run_campaign(const HwModule &module,
                 wave_ctx.num_faults = bank.num_faults;
                 wave_ctx.fault_random = &bank.fault_random;
                 wave_ctx.suite = &suite;
+            } catch (...) {
+                // No bank, no verdicts: every needed fault's jobs
+                // quarantine (and are counted) rather than vanish.
+                std::string what = "fault bank: " + current_error();
+                for (size_t idx = 0; idx < needed.size(); ++idx)
+                    if (needed[idx])
+                        char_error[idx] = what;
             }
-        } catch (const std::exception &) {
-            use_waves = false;
         }
     }
+
+    std::vector<size_t> pending_faults;
+    for (size_t idx = 0; idx < needed.size(); ++idx)
+        if (needed[idx] && char_error[idx].empty())
+            pending_faults.push_back(idx);
+    std::optional<ProgressMeter> meter;
+    if (cfg.progress || cfg.progress_sink)
+        meter.emplace(pending_faults.size() + todo.size(),
+                      cfg.progress_interval, cfg.progress_sink);
 
     // Characterization pass: once per unique (pair, constant) fault —
     // never per job — probe whether the fault corrupts the
     // representative workload. Only faults some pending job of this
-    // shard actually injects are probed, so shards (and resumed runs)
-    // don't redo the whole matrix. In scalar mode the failing netlists
-    // are kept and shared read-only by every job that injects the same
-    // fault; in wave mode the bank tape serves that role. A
-    // characterization that throws poisons only the jobs that depend
-    // on that fault; they quarantine instead of crashing the run.
-    std::vector<lift::FailingNetlist> faults(
-        use_waves ? 0 : npairs * nconst);
-    std::vector<mem::MemFaultClass> mem_faults(
-        is_mem_module(module.kind) ? npairs * nconst : 0);
-    std::vector<char> corrupts(npairs * nconst, 0);
-    std::vector<std::string> char_error(npairs * nconst);
-    if (use_waves) {
-        std::vector<size_t> pending_faults;
-        pending_faults.reserve(needed_count);
-        for (size_t idx = 0; idx < npairs * nconst; ++idx)
-            if (needed[idx])
-                pending_faults.push_back(idx);
-        for (size_t base = 0; base < pending_faults.size();
-             base += kWaveLanes) {
-            size_t count =
-                std::min(kWaveLanes, pending_faults.size() - base);
-            std::vector<size_t> chunk(
-                pending_faults.begin() + long(base),
-                pending_faults.begin() + long(base + count));
-            pool.submit([&, chunk] {
-                VEGA_SPAN("campaign.characterize");
+    // shard injects are probed, so shards (and resumed runs) don't redo
+    // the whole matrix. A chunk that throws is re-run one fault per
+    // chunk; a fault that still throws poisons only the jobs that
+    // inject it, which quarantine instead of crashing the run.
+    auto characterize_chunk = [&](const std::vector<size_t> &chunk) {
+        VEGA_SPAN("campaign.characterize");
+        auto probe = [&](const std::vector<size_t> &faults) {
+            std::vector<char> verdicts = characterize(faults);
+            for (size_t i = 0; i < faults.size(); ++i)
+                corrupts[faults[i]] = verdicts[i];
+        };
+        try {
+            probe(chunk);
+        } catch (...) {
+            for (size_t idx : chunk) {
                 try {
-                    std::vector<std::pair<size_t, uint64_t>> req;
-                    req.reserve(chunk.size());
-                    for (size_t idx : chunk)
-                        req.push_back(
-                            {bank_pos[idx],
-                             job_stream(~cfg.seed, uint64_t(idx))});
-                    std::vector<char> verdicts =
-                        characterize_wave(wave_ctx, req);
-                    for (size_t i = 0; i < chunk.size(); ++i)
-                        corrupts[chunk[i]] = verdicts[i];
-                } catch (const std::exception &) {
-                    // Wave execution must never cost correctness:
-                    // probe each fault standalone, exactly like the
-                    // scalar path would have.
-                    for (size_t idx : chunk) {
-                        try {
-                            lift::FailingNetlist f =
-                                lift::build_failing_netlist(
-                                    module.netlist,
-                                    fault_spec(
-                                        pairs[idx / nconst],
-                                        cfg.constants[idx % nconst]));
-                            corrupts[idx] = workload_corrupts(
-                                module.kind, f.netlist,
-                                f.has_random_input,
-                                job_stream(~cfg.seed, uint64_t(idx)));
-                        } catch (const std::exception &e) {
-                            char_error[idx] = e.what();
-                        } catch (...) {
-                            char_error[idx] = "non-standard exception";
-                        }
-                    }
+                    probe({idx});
+                } catch (...) {
+                    char_error[idx] = current_error();
                 }
-                if (meter)
-                    for (size_t i = 0; i < chunk.size(); ++i)
-                        meter->job_done(0);
-            });
-        }
-    } else {
-        for (size_t pi = 0; pi < npairs; ++pi) {
-            for (size_t ci = 0; ci < nconst; ++ci) {
-                if (!needed[pi * nconst + ci])
-                    continue;
-                pool.submit([&, pi, ci] {
-                    VEGA_SPAN("campaign.characterize");
-                    size_t idx = pi * nconst + ci;
-                    try {
-                        if (is_mem_module(module.kind)) {
-                            // Decoder lifting: the constant axis does
-                            // not apply to slow-gate faults; every
-                            // (pair, C) slot carries the pair's
-                            // classified class.
-                            CellId gate = mem::pick_decoder_gate(
-                                module.netlist, pairs[pi].worst);
-                            if (gate == kInvalidId)
-                                throw std::runtime_error(
-                                    "no decode gate on worst path");
-                            mem_faults[idx] = mem::classify_slow_gate(
-                                module.netlist, gate);
-                            corrupts[idx] = mem::mem_workload_corrupts(
-                                mem_faults[idx]);
-                        } else {
-                            faults[idx] = lift::build_failing_netlist(
-                                module.netlist,
-                                fault_spec(pairs[pi],
-                                           cfg.constants[ci]));
-                            uint64_t seed =
-                                job_stream(~cfg.seed, uint64_t(idx));
-                            corrupts[idx] = workload_corrupts(
-                                module.kind, faults[idx].netlist,
-                                faults[idx].has_random_input, seed);
-                        }
-                    } catch (const std::exception &e) {
-                        char_error[idx] = e.what();
-                    } catch (...) {
-                        char_error[idx] = "non-standard exception";
-                    }
-                    if (meter)
-                        meter->job_done(0);
-                });
             }
         }
-    }
+        if (meter)
+            for (size_t i = 0; i < chunk.size(); ++i)
+                meter->job_done(0);
+    };
+    submit_chunks(pool, pending_faults, characterize_chunk);
     pool.wait_idle();
     double characterize_wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -421,7 +400,7 @@ try_run_campaign(const HwModule &module,
     std::optional<VegaError> journal_error;
 
     // Journal writes run under their own mutex, off the hot state_mu:
-    // a group-commit rewrite (and its fsync) must not block workers
+    // a group-commit append (and its fsync) must not block workers
     // that only need to settle counters. Record order across threads
     // is arbitrary, which is fine — replay is keyed by job id.
     auto journal_record = [&](const auto &record) {
@@ -460,200 +439,142 @@ try_run_campaign(const HwModule &module,
         journal_record(jr);
         // The real thing, not a simulation: SIGKILL is uncatchable, so
         // buffered journal records die with the process exactly as in
-        // a production OOM kill. In wave mode the trigger lands mid-
-        // wave, with sibling episodes' records still unflushed.
+        // a production OOM kill. The trigger lands mid-chunk, with
+        // sibling jobs' records still unflushed.
         if (do_kill)
             std::raise(SIGKILL);
         if (meter)
             meter->job_done(jr.sim_cycles);
     };
 
-    auto settle_failed = [&](const FailedJob &f, bool meter_tick) {
+    auto settle_failed = [&](const FailedJob &f) {
         {
             std::lock_guard<std::mutex> lk(state_mu);
             failed.push_back(f);
             ++settled_this_run;
         }
         journal_record(f);
-        if (meter_tick && meter)
+        if (meter)
             meter->job_done(0);
     };
 
-    auto char_failed_job = [&](const JobSpec &spec, size_t idx) {
+    // A failed attempt: count the retry and keep the in-flight error.
+    auto attempt_failed = [&](int attempt) {
+        static obs::Counter &retry_counter =
+            obs::counter("campaign.retries");
+        retry_counter.inc();
+        return make_error(ErrorCode::JobFailed,
+                          "attempt " + std::to_string(attempt) + ": " +
+                              current_error());
+    };
+
+    // The retry ladder: @p job's attempts from @p first on, each a
+    // one-lane chunk, the hook called before each. Attempt k > 1 draws
+    // a fresh downstream seed, still a pure function of (campaign seed,
+    // job id, k). A job that fails every attempt is quarantined with
+    // the last attempt's error.
+    auto run_ladder = [&](WaveJob job, int first, VegaError last) {
+        const JobSpec spec = job.spec;
+        for (int attempt = first; attempt <= max_attempts; ++attempt) {
+            if (attempt > 1) {
+                uint64_t stream = job_stream(
+                    cfg.seed ^
+                        (0x9e3779b97f4a7c15ull * uint64_t(attempt - 1)),
+                    spec.id);
+                job.spec.seed = splitmix64(stream);
+            }
+            try {
+                if (attempt > 1 && cfg.job_fault_hook)
+                    cfg.job_fault_hook(spec, attempt);
+                JobResult jr = run({job}).front();
+                jr.attempts = uint32_t(attempt);
+                settle_result(jr);
+                return;
+            } catch (...) {
+                last = attempt_failed(attempt);
+            }
+        }
         FailedJob f;
         f.id = spec.id;
         f.pair_index = spec.pair_index;
-        f.attempts = 0;
-        f.error = make_error(ErrorCode::JobFailed,
-                             "characterization: " + char_error[idx]);
-        return f;
+        f.attempts = uint32_t(max_attempts);
+        f.error = last;
+        settle_failed(f);
     };
 
-    // The scalar retry ladder — the semantics oracle wave execution is
-    // measured against, and the per-job fallback when a wave throws.
-    auto run_with_retries = [&](const JobSpec &spec,
-                                const lift::FailingNetlist &failing,
-                                const mem::MemFaultClass &mem_cls,
-                                bool corrupting, JobResult &jr,
-                                VegaError &last) {
-        JobSpec attempt_spec = spec;
-        for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    // Dispatch: pending jobs in id-ordered chunks of up to kWaveLanes,
+    // one pool task each, all sharing the read-only bank tape. A chunk
+    // is attempt 1 of each of its jobs: the hook runs before a job's
+    // lane is bound, and a job it fails enters the ladder at attempt 2.
+    // If a multi-lane chunk throws, each of its jobs re-runs attempt 1
+    // alone. Jobs settle one at a time in id order, so stop/kill
+    // semantics stay per job: a stop flag raised mid-chunk drops the
+    // chunk's unsettled jobs, which a resume simply re-runs.
+    auto wave_job = [&](const JobSpec &s) {
+        size_t idx = fault_index(s);
+        return WaveJob{s, bank_pos[idx], corrupts[idx] != 0};
+    };
+    auto run_chunk = [&](const std::vector<JobSpec> &specs) {
+        if (stop.load(std::memory_order_relaxed))
+            return;
+        VEGA_SPAN("campaign.wave");
+        // Per spec: the attempt its ladder starts at (0 = its result
+        // comes from the chunk) and the error that sent it there.
+        std::vector<int> ladder_from(specs.size(), 0);
+        std::vector<VegaError> last(specs.size());
+        std::vector<size_t> lane_spec;
+        std::vector<WaveJob> lanes;
+        for (size_t i = 0; i < specs.size(); ++i) {
+            if (!char_error[fault_index(specs[i])].empty())
+                continue;
             try {
                 if (cfg.job_fault_hook)
-                    cfg.job_fault_hook(spec, attempt);
-                jr = run_job(module.kind, failing, mem_cls, suite,
-                             attempt_spec, corrupting);
-                jr.attempts = uint32_t(attempt);
-                return true;
-            } catch (const std::exception &e) {
-                last = make_error(ErrorCode::JobFailed,
-                                  "attempt " + std::to_string(attempt) +
-                                      ": " + e.what());
+                    cfg.job_fault_hook(specs[i], 1);
+                lane_spec.push_back(i);
+                lanes.push_back(wave_job(specs[i]));
             } catch (...) {
-                last = make_error(ErrorCode::JobFailed,
-                                  "attempt " + std::to_string(attempt) +
-                                      ": non-standard exception");
+                ladder_from[i] = 2;
+                last[i] = attempt_failed(1);
             }
-            static obs::Counter &retry_counter =
-                obs::counter("campaign.retries");
-            retry_counter.inc();
-            // Fresh downstream randomness for the retry, still a pure
-            // function of (campaign seed, job id, attempt).
-            uint64_t stream = job_stream(
-                cfg.seed ^ (0x9e3779b97f4a7c15ull * uint64_t(attempt)),
-                spec.id);
-            attempt_spec.seed = splitmix64(stream);
         }
-        return false;
-    };
-
-    if (use_waves) {
-        // Wave dispatch: pending jobs bucket into 64-episode waves in
-        // id order, each wave one pool task sharing the read-only bank
-        // tape. Per-job settling keeps stop/kill semantics exact: a
-        // stop flag raised mid-wave drops the wave's remaining
-        // (unsettled) episodes, which a resume simply re-runs.
-        std::vector<JobSpec> wave_specs;
-        wave_specs.reserve(kWaveLanes);
-        auto flush_wave = [&] {
-            if (wave_specs.empty())
+        std::vector<JobResult> results;
+        try {
+            results = run(lanes);
+        } catch (...) {
+            // A one-lane chunk's throw is its job's failed attempt 1.
+            int from = lanes.size() == 1 ? 2 : 1;
+            VegaError err = from == 2 ? attempt_failed(1) : VegaError{};
+            for (size_t i : lane_spec) {
+                ladder_from[i] = from;
+                last[i] = err;
+            }
+        }
+        size_t ri = 0;
+        for (size_t i = 0; i < specs.size(); ++i) {
+            if (stop.load(std::memory_order_relaxed))
                 return;
-            pool.submit([&, specs = wave_specs] {
-                if (stop.load(std::memory_order_relaxed))
-                    return;
-                VEGA_SPAN("campaign.wave");
-                std::vector<WaveJob> wjobs;
-                wjobs.reserve(specs.size());
-                for (const JobSpec &s : specs) {
-                    size_t idx =
-                        s.pair_index * nconst + s.constant_index;
-                    if (char_error[idx].empty())
-                        wjobs.push_back(
-                            {s, bank_pos[idx], corrupts[idx] != 0});
-                }
-                std::vector<JobResult> results;
-                bool wave_ok = true;
-                try {
-                    results = run_wave(wave_ctx, wjobs);
-                } catch (const std::exception &) {
-                    wave_ok = false;
-                }
-                size_t ri = 0;
-                for (const JobSpec &s : specs) {
-                    if (stop.load(std::memory_order_relaxed))
-                        return;
-                    VEGA_SPAN("campaign.job");
-                    static obs::Counter &jobs_counter =
-                        obs::counter("campaign.jobs");
-                    jobs_counter.inc();
-                    worker_jobs_counter().inc();
-                    size_t idx =
-                        s.pair_index * nconst + s.constant_index;
-                    if (!char_error[idx].empty()) {
-                        settle_failed(char_failed_job(s, idx), false);
-                        continue;
-                    }
-                    if (wave_ok) {
-                        settle_result(results[ri++]);
-                        continue;
-                    }
-                    // The wave threw: rerun this episode standalone
-                    // through the scalar oracle (identical result by
-                    // the lockstep contract).
-                    std::optional<lift::FailingNetlist> failing;
-                    JobResult jr;
-                    VegaError last;
-                    bool ok = false;
-                    try {
-                        failing.emplace(lift::build_failing_netlist(
-                            module.netlist,
-                            fault_spec(pairs[s.pair_index],
-                                       cfg.constants[s.constant_index])));
-                    } catch (const std::exception &e) {
-                        last = make_error(ErrorCode::JobFailed,
-                                          e.what());
-                    }
-                    if (failing)
-                        ok = run_with_retries(s, *failing,
-                                              mem::MemFaultClass{},
-                                              corrupts[idx] != 0, jr,
-                                              last);
-                    if (ok) {
-                        settle_result(jr);
-                    } else {
-                        FailedJob f;
-                        f.id = s.id;
-                        f.pair_index = s.pair_index;
-                        f.attempts = uint32_t(max_attempts);
-                        f.error = last;
-                        settle_failed(f, true);
-                    }
-                }
-            });
-            wave_specs.clear();
-        };
-        for (uint64_t id : todo) {
-            wave_specs.push_back(make_spec(cfg, npairs, id));
-            if (wave_specs.size() == kWaveLanes)
-                flush_wave();
+            VEGA_SPAN("campaign.job");
+            static obs::Counter &jobs_counter =
+                obs::counter("campaign.jobs");
+            jobs_counter.inc();
+            worker_jobs_counter().inc();
+            const std::string &why = char_error[fault_index(specs[i])];
+            if (!why.empty()) {
+                FailedJob f;
+                f.id = specs[i].id;
+                f.pair_index = specs[i].pair_index;
+                f.attempts = 0;
+                f.error = make_error(ErrorCode::JobFailed,
+                                     "characterization: " + why);
+                settle_failed(f);
+            } else if (ladder_from[i]) {
+                run_ladder(wave_job(specs[i]), ladder_from[i], last[i]);
+            } else {
+                settle_result(results[ri++]);
+            }
         }
-        flush_wave();
-    } else {
-        for (uint64_t id : todo) {
-            JobSpec spec = make_spec(cfg, npairs, id);
-            size_t idx = spec.pair_index * nconst + spec.constant_index;
-            pool.submit([&, spec, idx] {
-                if (stop.load(std::memory_order_relaxed))
-                    return;
-                VEGA_SPAN("campaign.job");
-                static obs::Counter &jobs_counter =
-                    obs::counter("campaign.jobs");
-                jobs_counter.inc();
-                worker_jobs_counter().inc();
-                if (!char_error[idx].empty()) {
-                    settle_failed(char_failed_job(spec, idx), false);
-                    return;
-                }
-                JobResult jr;
-                VegaError last;
-                bool ok = run_with_retries(
-                    spec, faults[idx],
-                    is_mem_module(module.kind) ? mem_faults[idx]
-                                               : mem::MemFaultClass{},
-                    corrupts[idx] != 0, jr, last);
-                if (ok) {
-                    settle_result(jr);
-                } else {
-                    FailedJob f;
-                    f.id = spec.id;
-                    f.pair_index = spec.pair_index;
-                    f.attempts = uint32_t(max_attempts);
-                    f.error = last;
-                    settle_failed(f, true);
-                }
-            });
-        }
-    }
+    };
+    submit_chunks(pool, todo, run_chunk);
     pool.wait_idle();
     double simulate_wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -4,14 +4,16 @@
  *
  * A campaign takes the artifacts of a Vega workflow run — the lifted
  * endpoint pairs and the generated runtime suite — and fans out over
- * (failing netlist × stimulus seed × schedule policy) jobs on a
- * work-stealing thread pool. A characterization pass builds each
- * unique fault — the logical failure model (§3.3.1) spliced into a
- * copy of the module, shared read-only by all jobs that inject it —
- * and probes whether it silently corrupts a representative workload.
- * Each job then runs the aging library against the failing gate-level
- * netlist on its own Simulator instance and records detection
- * latency; undetected corrupting faults count as SDC escapes.
+ * (fault × stimulus seed × schedule policy) jobs on a work-stealing
+ * thread pool. Every needed fault — the logical failure model
+ * (§3.3.1) of one (pair, constant) — is spliced into one fault-bank
+ * copy of the module, compiled once and shared read-only by every
+ * job. A characterization pass probes whether each fault silently
+ * corrupts a representative workload; jobs then run in 64-lane waves
+ * (campaign/wave.h), each lane running the aging library against its
+ * own fault and recording detection latency. Undetected corrupting
+ * faults count as SDC escapes. Memory modules go through the same
+ * chunks, with the wrong-address fault on a per-job MarchEngine.
  *
  * Determinism contract: the campaign seed fully determines every job
  * (pair/constant/policy sampling and all downstream randomness, via
@@ -56,15 +58,6 @@ struct CampaignConfig
     double probability = 0.5;
     /** Per-job scheduler slot budget (0 ⇒ 2 × suite size). */
     uint64_t max_slots = 0;
-    /**
-     * Execute functional-unit jobs in 64-episode waves on a shared
-     * fault-bank tape (campaign/wave.h) instead of one netlist
-     * simulation per job. Reports are byte-identical either way — the
-     * scalar path remains the semantics oracle — so this is purely a
-     * throughput knob. Memory-module campaigns and runs with a
-     * job_fault_hook always take the scalar path.
-     */
-    bool wave_execution = true;
     /** Cap on the endpoint-pair working set. */
     size_t max_pairs = SIZE_MAX;
     /** Emit periodic progress lines to stderr. */
@@ -83,10 +76,10 @@ struct CampaignConfig
     /** Checkpoint journal path; empty disables journaling. */
     std::string journal_path;
     /**
-     * Journal group-commit size: the file is rewritten once per this
-     * many settled jobs (and once at the end). 1 = every record, the
-     * most crash-safe and the slowest; larger values amortize the
-     * O(journal size) rewrite at the cost of a wider crash window.
+     * Journal group-commit size: buffered records are appended and
+     * fsynced once per this many settled jobs (and once at the end).
+     * 1 = every record, the most crash-safe and the slowest; larger
+     * values amortize the fsync at the cost of a wider crash window.
      */
     size_t journal_flush_every = 16;
     /** Reload an existing journal at journal_path and skip its jobs. */
@@ -100,8 +93,9 @@ struct CampaignConfig
      */
     size_t stop_after_jobs = 0;
     /**
-     * Test hook run before each job attempt (1-based); a throw counts
-     * as that attempt failing, feeding the retry/quarantine path.
+     * Test hook run before each job attempt (1-based; attempt 1 runs
+     * before the job's lane is bound); a throw counts as that attempt
+     * failing, feeding the retry/quarantine path.
      */
     std::function<void(const JobSpec &, int attempt)> job_fault_hook;
     /**

@@ -6,7 +6,10 @@
  * functional unit and runs aging-library test blocks against it,
  * exactly like the Table 6/7 evaluation: hardware state persists
  * across test blocks, and stalls / wrong results / transaction-tag
- * anomalies surface as runtime::Detection outcomes.
+ * anomalies surface as runtime::Detection outcomes. The campaign
+ * executor itself runs on wave lanes (campaign/wave.h); this scalar
+ * engine serves the fleet's fault matrix and the test-only reference
+ * executor (tests/campaign_oracle.h) the waves are pinned against.
  *
  * workload_corrupts() answers the other half of the SDC question: does
  * this fault silently corrupt a representative application's output?
@@ -32,9 +35,9 @@ namespace vega::campaign {
  * representative kernels retire at most ~81k instructions (ud; crc32
  * and minver are well under that), so the workload bound only ever
  * trips on runaway faulty executions — and every extra watchdog
- * instruction is pure wall-clock on runs already known corrupt. The
- * wave and scalar paths share these so characterization verdicts stay
- * identical between them.
+ * instruction is pure wall-clock on runs already known corrupt. Wave
+ * lanes and the scalar engines share these so characterization
+ * verdicts stay identical between them.
  */
 constexpr uint64_t kWorkloadWatchdog = 120000;
 constexpr uint64_t kTestWatchdog = 1000000;

@@ -32,16 +32,17 @@
  *
  * Durability protocol: open() writes the header (and any resumed
  * records) via write-temp-then-rename, then records are *appended* —
- * the per-line checksums make a torn tail detectable, so the v1
- * rewrite-whole-file-per-flush (O(n²) bytes over a campaign) is gone.
- * A crash can leave at most one torn final line plus the records
- * buffered since the last flush; resume drops the torn tail with a
- * warning and re-runs those jobs. Flush granularity is group-commit:
- * record() buffers, and the buffer is appended + fsynced every
- * @p flush_every records (default every record) plus once at sync().
+ * the per-line checksums make a torn tail detectable, so the file is
+ * never rewritten per flush. A crash can leave at most one torn final
+ * line plus the records buffered since the last flush; resume drops
+ * the torn tail with a warning and re-runs those jobs. Flush
+ * granularity is group-commit: record() buffers, and the buffer is
+ * appended + fsynced every @p flush_every records (JournalWriter's
+ * default is every record; campaigns pass
+ * CampaignConfig::journal_flush_every, default 16) plus once at sync().
  *
- * v1 files (no checksums) are still read, with a deprecation warning;
- * resuming one upgrades it to v2 on the spot. The config line
+ * Only v2 is read: a file with any other version magic (the
+ * unchecksummed v1 included) is JournalCorrupt. The config line
  * fingerprints the campaign — including the shard split — and
  * resuming under a different configuration is refused with
  * JournalMismatch rather than silently mixing incompatible results.
@@ -89,11 +90,9 @@ struct JournalState
     std::vector<JobResult> completed;
     std::vector<FailedJob> failed;
 
-    /** Format version the file carried (1 = legacy, no checksums). */
-    int version = 2;
     /** The finalize() trailer was present and verified. */
     bool has_trailer = false;
-    /** A torn final line was detected and dropped (v2, resume path). */
+    /** A torn final line was detected and dropped (resume path). */
     bool torn_tail = false;
     /** job + failed records read (the trailer's records= count). */
     uint64_t records = 0;
@@ -104,7 +103,7 @@ struct JournalState
 /**
  * One record's journal body — no checksum prefix, no newline. The
  * writer checksums and frames these; exposed so tests (and the
- * corruptor harness) can craft fixture files in either version.
+ * corruptor harness) can craft fixture files.
  */
 std::string render_record(const JobResult &r);
 std::string render_record(const FailedJob &f);

@@ -207,8 +207,9 @@ finish_lane(Lane &ln, const cpu::BatchNetlistEngine &eng, int li)
 
 /**
  * Drive lane @p li until it posts a transaction or its job completes.
- * The slot loop, detection mapping, and tag accounting replicate
- * run_job() + NetlistEngine::run() exactly.
+ * The slot loop, detection mapping, and tag accounting replicate the
+ * reference executor's per-job AgingLibrary + NetlistEngine::run()
+ * loop (tests/campaign_oracle.h) exactly.
  */
 void
 advance_lane(const WaveContext &ctx, cpu::BatchNetlistEngine &eng, int li,

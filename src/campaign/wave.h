@@ -14,10 +14,11 @@
  * cpu::BatchNetlistEngine.
  *
  * Semantics contract: per-lane results are bit-identical to the scalar
- * oracle (campaign run_job / workload_corrupts on a standalone failing
- * netlist), and independent of wave composition — which jobs happen to
- * share a wave, in which lanes. That is what keeps sharded, resumed,
- * and mid-wave-killed campaigns byte-identical to a straight run. The
+ * reference executor (tests/campaign_oracle.h: one NetlistEngine and
+ * one workload_corrupts probe per standalone failing netlist), and
+ * independent of wave composition — which jobs happen to share a wave,
+ * in which lanes. That is what keeps sharded, resumed, retried and
+ * mid-wave-killed campaigns byte-identical to a straight run. The
  * lockstep tests in tests/test_campaign_wave.cpp pin both properties.
  */
 #pragma once
@@ -73,7 +74,8 @@ characterize_wave(const WaveContext &ctx,
 
 /**
  * Run up to 64 injection jobs in lockstep. Returns JobResults in input
- * order, each bit-identical to scalar run_job() of the same spec.
+ * order, each bit-identical to the reference executor's job of the
+ * same spec (tests/campaign_oracle.h).
  */
 std::vector<JobResult> run_wave(const WaveContext &ctx,
                                 const std::vector<WaveJob> &jobs);

@@ -35,17 +35,6 @@ FaultMatrix::corrupting_classes() const
 
 namespace {
 
-lift::FailureModelSpec
-fault_spec(const sta::EndpointPair &pair, lift::FaultConstant c)
-{
-    lift::FailureModelSpec fm;
-    fm.launch = pair.launch;
-    fm.capture = pair.capture;
-    fm.is_setup = pair.is_setup;
-    fm.constant = c;
-    return fm;
-}
-
 /** Characterize one fault class; exceptions leave it undetectable. */
 void
 characterize(const HwModule &module,
@@ -80,7 +69,7 @@ characterize(const HwModule &module,
         }
         lift::FailingNetlist failing =
             lift::build_failing_netlist(module.netlist,
-                                        fault_spec(pair, constant));
+                                        lift::fault_spec(pair, constant));
         auto tape =
             std::make_shared<const EvalTape>(failing.netlist);
         uint64_t stream = stream_root;

@@ -114,6 +114,17 @@ build_fault_logic(Netlist &nl, const FailureModelSpec &spec)
 
 } // namespace
 
+FailureModelSpec
+fault_spec(const sta::EndpointPair &pair, FaultConstant c)
+{
+    FailureModelSpec fm;
+    fm.launch = pair.launch;
+    fm.capture = pair.capture;
+    fm.is_setup = pair.is_setup;
+    fm.constant = c;
+    return fm;
+}
+
 FailingNetlist
 build_failing_netlist(const Netlist &nl, const FailureModelSpec &spec)
 {

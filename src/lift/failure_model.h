@@ -59,6 +59,9 @@ struct FailureModelSpec
     Mitigation mitigation = Mitigation::None;
 };
 
+/** The spec injecting constant @p c on @p pair (no mitigation). */
+FailureModelSpec fault_spec(const sta::EndpointPair &pair, FaultConstant c);
+
 /** A module copy with the fault spliced in front of Y. */
 struct FailingNetlist
 {

@@ -2,11 +2,12 @@
  * @file
  * Lockstep contract of wave execution: a campaign run in 64-episode
  * waves over a fault-bank tape must be byte-identical — the full
- * deterministic CampaignReport JSON — to the scalar per-job oracle, at
- * every thread count, on every module family. Plus unit checks of the
- * two properties the contract rests on: disabled fault-bank muxes are
- * exact pass-throughs, and wave characterization reproduces scalar
- * workload_corrupts() verdict for verdict. The byte-identity also
+ * deterministic CampaignReport JSON — to the scalar per-job reference
+ * (campaign_oracle.h), at every thread count, on every module family.
+ * Plus unit checks of the two properties the contract rests on:
+ * disabled fault-bank muxes are exact pass-throughs, and wave
+ * characterization reproduces scalar workload_corrupts() verdict for
+ * verdict. The byte-identity also
  * covers RandomInput faults (per-lane fm_rand streams) and an FPU
  * hold-fault bank (an input that feeds logic), and a guard pins the
  * engine's cost: one tape settle per ALU round.
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.h"
+#include "campaign_oracle.h"
 #include "campaign/engine.h"
 #include "cpu/alu_ops.h"
 #include "cpu/softfp.h"
@@ -141,38 +143,46 @@ fpu_env()
 }
 
 CampaignConfig
-base_config(uint64_t seed, size_t threads, bool waves)
+base_config(uint64_t seed, size_t threads)
 {
     CampaignConfig cfg;
     cfg.seed = seed;
     cfg.num_jobs = 18;
     cfg.threads = threads;
     cfg.max_slots = 6;
-    cfg.wave_execution = waves;
     return cfg;
 }
 
 std::vector<lift::FailureModelSpec>
-all_fault_specs(const std::vector<sta::EndpointPair> &pairs,
-                const std::vector<lift::FaultConstant> &constants)
+bank_specs(const std::vector<sta::EndpointPair> &pairs,
+           const std::vector<lift::FaultConstant> &constants)
 {
     std::vector<lift::FailureModelSpec> specs;
     for (const auto &pair : pairs)
-        for (lift::FaultConstant c : constants) {
-            lift::FailureModelSpec fm;
-            fm.launch = pair.launch;
-            fm.capture = pair.capture;
-            fm.is_setup = pair.is_setup;
-            fm.constant = c;
-            specs.push_back(fm);
-        }
+        for (lift::FaultConstant c : constants)
+            specs.push_back(lift::fault_spec(pair, c));
     return specs;
+}
+
+/** Diff the executor's report against the scalar reference's; returns
+ *  the executor's. */
+CampaignReport
+expect_matches_oracle(const WaveEnv &e,
+                      const std::vector<sta::EndpointPair> &pairs,
+                      const CampaignConfig &cfg)
+{
+    CampaignReport oracle =
+        oracle::run_campaign_scalar(e.module, pairs, e.suite, cfg);
+    CampaignReport wave = run_campaign(e.module, pairs, e.suite, cfg);
+    EXPECT_EQ(oracle.to_json(false), wave.to_json(false))
+        << "seed " << cfg.seed << " threads " << cfg.threads;
+    return wave;
 }
 
 TEST(WaveCampaign, FaultBankDisabledLanesArePassThrough)
 {
     const WaveEnv &e = alu_env();
-    auto specs = all_fault_specs(
+    auto specs = bank_specs(
         e.pairs, {lift::FaultConstant::Zero, lift::FaultConstant::One});
     lift::FaultBank bank =
         lift::build_fault_bank(e.module.netlist, specs);
@@ -191,7 +201,7 @@ TEST(WaveCampaign, CharacterizeWaveMatchesScalarVerdicts)
     const WaveEnv &e = alu_env();
     std::vector<lift::FaultConstant> constants = {
         lift::FaultConstant::Zero, lift::FaultConstant::One};
-    auto specs = all_fault_specs(e.pairs, constants);
+    auto specs = bank_specs(e.pairs, constants);
     lift::FaultBank bank =
         lift::build_fault_bank(e.module.netlist, specs);
 
@@ -222,19 +232,16 @@ TEST(WaveCampaign, AluReportsByteIdenticalAcrossModesAndThreads)
 {
     const WaveEnv &e = alu_env();
     for (uint64_t seed : {99ull, 31ull}) {
-        CampaignReport oracle = run_campaign(
-            e.module, e.pairs, e.suite, base_config(seed, 1, false));
-        std::string golden = oracle.to_json(false);
+        std::string golden =
+            oracle::run_campaign_scalar(e.module, e.pairs, e.suite,
+                                        base_config(seed, 1))
+                .to_json(false);
         for (size_t threads : {1, 2, 4, 8}) {
-            CampaignReport wave =
-                run_campaign(e.module, e.pairs, e.suite,
-                             base_config(seed, threads, true));
+            CampaignReport wave = run_campaign(
+                e.module, e.pairs, e.suite, base_config(seed, threads));
             EXPECT_EQ(golden, wave.to_json(false))
                 << "seed " << seed << " threads " << threads;
         }
-        CampaignReport scalar_mt = run_campaign(
-            e.module, e.pairs, e.suite, base_config(seed, 4, false));
-        EXPECT_EQ(golden, scalar_mt.to_json(false));
     }
 }
 
@@ -243,29 +250,19 @@ TEST(WaveCampaign, MultiWaveCampaignMatchesScalar)
     // More jobs than one 64-episode wave holds: exercises wave
     // bucketing and cross-wave result assembly.
     const WaveEnv &e = alu_env();
-    CampaignConfig scalar = base_config(7, 2, false);
-    scalar.num_jobs = kWaveLanes + 9;
-    scalar.max_slots = 4;
-    CampaignConfig waves = scalar;
-    waves.wave_execution = true;
-    CampaignReport a = run_campaign(e.module, e.pairs, e.suite, scalar);
-    CampaignReport b = run_campaign(e.module, e.pairs, e.suite, waves);
-    ASSERT_EQ(a.jobs.size(), scalar.num_jobs);
-    EXPECT_EQ(a.to_json(false), b.to_json(false));
+    CampaignConfig cfg = base_config(7, 2);
+    cfg.num_jobs = kWaveLanes + 9;
+    cfg.max_slots = 4;
+    expect_matches_oracle(e, e.pairs, cfg);
 }
 
 TEST(WaveCampaign, FpuReportsByteIdenticalAcrossModes)
 {
     const WaveEnv &e = fpu_env();
-    CampaignConfig scalar = base_config(7, 1, false);
-    scalar.num_jobs = 12;
-    CampaignConfig waves = scalar;
-    waves.wave_execution = true;
-    waves.threads = 2;
-    CampaignReport a = run_campaign(e.module, e.pairs, e.suite, scalar);
-    CampaignReport b = run_campaign(e.module, e.pairs, e.suite, waves);
-    EXPECT_EQ(a.to_json(false), b.to_json(false));
-    EXPECT_GT(a.detected + a.escapes + a.benign, 0u);
+    CampaignConfig cfg = base_config(7, 2);
+    cfg.num_jobs = 12;
+    CampaignReport r = expect_matches_oracle(e, e.pairs, cfg);
+    EXPECT_GT(r.detected + r.escapes + r.benign, 0u);
 }
 
 TEST(WaveCampaign, RandomConstantAluReportsByteIdentical)
@@ -275,35 +272,25 @@ TEST(WaveCampaign, RandomConstantAluReportsByteIdentical)
     // backend draws them — peeks included.
     const WaveEnv &e = alu_env();
     for (uint64_t seed : {5ull, 23ull}) {
-        CampaignConfig scalar = base_config(seed, 1, false);
-        scalar.constants = {lift::FaultConstant::Zero,
-                            lift::FaultConstant::One,
-                            lift::FaultConstant::RandomInput};
-        CampaignConfig waves = scalar;
-        waves.wave_execution = true;
-        waves.threads = 2;
-        CampaignReport a = run_campaign(e.module, e.pairs, e.suite, scalar);
-        CampaignReport b = run_campaign(e.module, e.pairs, e.suite, waves);
-        EXPECT_EQ(a.to_json(false), b.to_json(false)) << "seed " << seed;
+        CampaignConfig cfg = base_config(seed, 2);
+        cfg.constants = {lift::FaultConstant::Zero,
+                         lift::FaultConstant::One,
+                         lift::FaultConstant::RandomInput};
+        expect_matches_oracle(e, e.pairs, cfg);
     }
 }
 
 TEST(WaveCampaign, RandomConstantFpuReportsByteIdentical)
 {
-    // One fault class: the scalar FPU oracle characterizes each class
-    // with a full representative-kernel run, seconds apiece.
+    // One fault class: the scalar FPU reference characterizes each
+    // class with a full representative-kernel run, seconds apiece.
     const WaveEnv &e = fpu_env();
     std::vector<sta::EndpointPair> pairs(e.pairs.begin(),
                                          e.pairs.begin() + 1);
-    CampaignConfig scalar = base_config(13, 1, false);
-    scalar.num_jobs = 12;
-    scalar.constants = {lift::FaultConstant::RandomInput};
-    CampaignConfig waves = scalar;
-    waves.wave_execution = true;
-    waves.threads = 2;
-    CampaignReport a = run_campaign(e.module, pairs, e.suite, scalar);
-    CampaignReport b = run_campaign(e.module, pairs, e.suite, waves);
-    EXPECT_EQ(a.to_json(false), b.to_json(false));
+    CampaignConfig cfg = base_config(13, 2);
+    cfg.num_jobs = 12;
+    cfg.constants = {lift::FaultConstant::RandomInput};
+    expect_matches_oracle(e, pairs, cfg);
 }
 
 TEST(WaveCampaign, FpuHoldFaultReportsByteIdentical)
@@ -313,23 +300,15 @@ TEST(WaveCampaign, FpuHoldFaultReportsByteIdentical)
     // re-settle when valid changes.
     const WaveEnv &e = fpu_env();
     ASSERT_FALSE(e.hold_pairs.empty());
-    auto specs =
-        all_fault_specs(e.hold_pairs, {lift::FaultConstant::Zero});
+    auto specs = bank_specs(e.hold_pairs, {lift::FaultConstant::Zero});
     lift::FaultBank bank = lift::build_fault_bank(e.module.netlist, specs);
     EvalTape tape(bank.netlist);
     EXPECT_TRUE(tape.feeds_logic(tape.slot(bank.netlist.bus("valid")[0])));
 
-    CampaignConfig scalar = base_config(3, 1, false);
-    scalar.num_jobs = 12;
-    scalar.constants = {lift::FaultConstant::Zero};
-    CampaignConfig waves = scalar;
-    waves.wave_execution = true;
-    waves.threads = 2;
-    CampaignReport a =
-        run_campaign(e.module, e.hold_pairs, e.suite, scalar);
-    CampaignReport b =
-        run_campaign(e.module, e.hold_pairs, e.suite, waves);
-    EXPECT_EQ(a.to_json(false), b.to_json(false));
+    CampaignConfig cfg = base_config(3, 2);
+    cfg.num_jobs = 12;
+    cfg.constants = {lift::FaultConstant::Zero};
+    expect_matches_oracle(e, e.hold_pairs, cfg);
 }
 
 TEST(WaveCampaign, CharacterizeWaveSettlesOncePerRound)
@@ -340,7 +319,7 @@ TEST(WaveCampaign, CharacterizeWaveSettlesOncePerRound)
     // the reset settle. RandomInput lanes are included: the peek's
     // fm_rand draws must leave the next edge's settle reusable.
     const WaveEnv &e = alu_env();
-    auto specs = all_fault_specs(
+    auto specs = bank_specs(
         e.pairs, {lift::FaultConstant::Zero, lift::FaultConstant::One,
                   lift::FaultConstant::RandomInput});
     lift::FaultBank bank = lift::build_fault_bank(e.module.netlist, specs);
@@ -368,7 +347,7 @@ TEST(WaveCampaign, StopAfterJobsHonoredMidWave)
     // One wave holds all 18 jobs; the stop flag must still land after
     // ~5 completions, not at the wave boundary.
     const WaveEnv &e = alu_env();
-    CampaignConfig cfg = base_config(99, 1, true);
+    CampaignConfig cfg = base_config(99, 1);
     cfg.stop_after_jobs = 5;
     CampaignReport r = run_campaign(e.module, e.pairs, e.suite, cfg);
     EXPECT_GE(r.jobs.size(), 5u);

@@ -9,6 +9,8 @@
 
 #include "campaign/campaign.h"
 #include "campaign/journal.h"
+#include "campaign_oracle.h"
+#include "common/checksum.h"
 #include "common/error.h"
 #include "common/fs.h"
 #include "cpu/alu_ops.h"
@@ -289,7 +291,6 @@ TEST(Journal, FinalizeAppendsAVerifiableTrailer)
 
     Expected<JournalState> st = read_journal(path, strict);
     ASSERT_TRUE(st.ok()) << st.error().to_string();
-    EXPECT_EQ(st->version, 2);
     EXPECT_TRUE(st->has_trailer);
     EXPECT_EQ(st->records, 3u);
     EXPECT_EQ(st->completed.size(), 3u);
@@ -362,9 +363,15 @@ TEST(Journal, GarbageIsJournalCorruptWithLineNumber)
 TEST(Journal, TruncatedRecordIsJournalCorrupt)
 {
     std::string path = tmp_path("journal_trunc.log");
+    // A correctly checksummed, newline-terminated record that is cut
+    // short: not a torn tail but a malformed record.
+    auto framed = [](const std::string &body) {
+        return crc32c_hex(crc32c(body)) + " " + body + "\n";
+    };
     ASSERT_TRUE(write_file_atomic(
-        path, "# vega campaign journal v1\n" + header_fixture().to_string() +
-                  "\njob 3 1 C=1\n"));
+        path, "# vega campaign journal v2\n" +
+                  framed(header_fixture().to_string()) +
+                  framed("job 3 1 C=1")));
     Expected<JournalState> st = read_journal(path);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.error().code, ErrorCode::JournalCorrupt);
@@ -474,6 +481,29 @@ TEST(CampaignFaults, TransientJobFailureRetriesWithFreshSeed)
     EXPECT_EQ(r->failed, 0u);
     for (const JobResult &j : r->jobs)
         EXPECT_EQ(j.attempts, j.id == 4 ? 2u : 1u) << "job " << j.id;
+
+    // Attempt 2 of job 4 is the scalar reference job under the fresh
+    // seed derived from attempt 1; every other job is the reference's.
+    size_t npairs = e.pairs.size();
+    size_t nconst = cfg.constants.size();
+    JobSpec spec = oracle::make_spec(cfg, npairs, 4);
+    spec.seed = oracle::retry_seed(cfg.seed, 4, 1);
+    size_t idx = spec.pair_index * nconst + spec.constant_index;
+    lift::FailingNetlist failing = lift::build_failing_netlist(
+        e.module.netlist,
+        lift::fault_spec(e.pairs[spec.pair_index], spec.constant));
+    bool corrupts = workload_corrupts(e.module.kind, failing.netlist,
+                                      failing.has_random_input,
+                                      job_stream(~cfg.seed, idx));
+    JobResult expect = oracle::run_job(e.module.kind, failing, {}, e.suite,
+                                       spec, corrupts);
+    expect.attempts = 2;
+    CampaignReport ref =
+        oracle::run_campaign_scalar(e.module, e.pairs, e.suite, cfg);
+    ASSERT_EQ(ref.jobs.size(), 12u);
+    for (const JobResult &j : r->jobs)
+        EXPECT_EQ(render_record(j),
+                  render_record(j.id == 4 ? expect : ref.jobs[j.id]));
 }
 
 TEST(CampaignFaults, AlwaysTrappingJobIsQuarantinedNotFatal)
@@ -546,18 +576,14 @@ TEST(CampaignFaults, KillAndResumeReportIsByteIdentical)
     std::remove(journal.c_str());
 }
 
-TEST(CampaignFaults, V1JournalUpgradesOnResumeByteIdentical)
+TEST(CampaignFaults, V1JournalIsRejectedOnResume)
 {
     const CampaignEnv &e = env();
-    std::string journal = tmp_path("v1_upgrade.journal");
+    std::string journal = tmp_path("v1_rejected.journal");
     std::remove(journal.c_str());
 
-    CampaignReport ref =
-        run_campaign(e.module, e.pairs, e.suite, small_config(1));
-
-    // Produce a genuine partial journal, then rewrite it in the legacy
-    // v1 format: no checksums, no shard fields, no trailer — what a
-    // pre-upgrade deployment left on disk when it was killed.
+    // Produce a genuine partial journal, then rewrite it in the retired
+    // v1 format: no checksums, no shard fields, no trailer.
     CampaignConfig killed = small_config(1);
     killed.journal_path = journal;
     killed.stop_after_jobs = 5;
@@ -575,31 +601,24 @@ TEST(CampaignFaults, V1JournalUpgradesOnResumeByteIdentical)
     std::string v1 = "# vega campaign journal v1\n" + config_line + "\n";
     for (const JobResult &r : snap->completed)
         v1 += render_record(r) + "\n";
-    for (const FailedJob &f : snap->failed)
-        v1 += render_record(f) + "\n";
     ASSERT_TRUE(write_file_atomic(journal, v1).ok());
 
-    // The deprecated format still reads (that's the warning path).
+    // Unverifiable records are not read: the file is JournalCorrupt,
+    // named as v1, and resuming refuses it instead of re-running or
+    // mixing in its jobs.
     Expected<JournalState> legacy = read_journal(journal);
-    ASSERT_TRUE(legacy.ok()) << legacy.error().to_string();
-    EXPECT_EQ(legacy->version, 1);
-    EXPECT_EQ(legacy->completed.size(), snap->completed.size());
+    ASSERT_FALSE(legacy.ok());
+    EXPECT_EQ(legacy.error().code, ErrorCode::JournalCorrupt);
+    EXPECT_NE(legacy.error().context.find("'v1'"), std::string::npos)
+        << legacy.error().context;
 
-    // Resuming finishes the campaign — byte-identical to an
-    // uninterrupted run — and upgrades the file to v2 on the spot.
     CampaignConfig resumed = small_config(1);
     resumed.journal_path = journal;
     resumed.resume = true;
     Expected<CampaignReport> full =
         try_run_campaign(e.module, e.pairs, e.suite, resumed);
-    ASSERT_TRUE(full.ok()) << full.error().to_string();
-    EXPECT_EQ(full->to_json(false), ref.to_json(false));
-
-    Expected<JournalState> upgraded = read_journal(journal);
-    ASSERT_TRUE(upgraded.ok()) << upgraded.error().to_string();
-    EXPECT_EQ(upgraded->version, 2);
-    EXPECT_TRUE(upgraded->has_trailer);
-    EXPECT_EQ(upgraded->completed.size() + upgraded->failed.size(), 12u);
+    ASSERT_FALSE(full.ok());
+    EXPECT_EQ(full.error().code, ErrorCode::JournalCorrupt);
     std::remove(journal.c_str());
 }
 

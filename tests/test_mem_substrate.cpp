@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "campaign/campaign.h"
+#include "campaign_oracle.h"
 #include "cpu/alu_ops.h"
 #include "fleet/fault_matrix.h"
 #include "mem/decoder_lift.h"
@@ -559,23 +560,22 @@ TEST(MemCampaign, RunsAndDetectsWrongAddress)
     campaign::CampaignConfig cc;
     cc.seed = 7;
     cc.num_jobs = 24;
-    cc.threads = 2;
-    campaign::CampaignReport rep =
-        campaign::run_campaign(module, pairs, r.suite, cc);
-    EXPECT_EQ(rep.jobs.size(), 24u);
-    EXPECT_GT(rep.detected, 0u);
-    // Every detection on the memory path is a wrong-address flag.
-    EXPECT_EQ(rep.detections.wrong_address, rep.detected);
-    EXPECT_EQ(rep.detections.mismatch, 0u);
-
-    // Memory modules always take the scalar MarchEngine path: asking
-    // for wave execution must be a no-op, byte for byte. (The default
-    // above is wave_execution = true; pin the explicit-off run too.)
-    campaign::CampaignConfig scalar = cc;
-    scalar.wave_execution = false;
-    campaign::CampaignReport rep2 =
-        campaign::run_campaign(module, pairs, r.suite, scalar);
-    EXPECT_EQ(rep.to_json(false), rep2.to_json(false));
+    std::string golden =
+        campaign::oracle::run_campaign_scalar(module, pairs, r.suite, cc)
+            .to_json(false);
+    for (size_t threads : {1, 2}) {
+        cc.threads = threads;
+        campaign::CampaignReport rep =
+            campaign::run_campaign(module, pairs, r.suite, cc);
+        EXPECT_EQ(rep.jobs.size(), 24u);
+        EXPECT_GT(rep.detected, 0u);
+        // Every detection on the memory path is a wrong-address flag.
+        EXPECT_EQ(rep.detections.wrong_address, rep.detected);
+        EXPECT_EQ(rep.detections.mismatch, 0u);
+        // The executor's MarchEngine chunks reproduce the scalar
+        // per-job reference byte for byte.
+        EXPECT_EQ(golden, rep.to_json(false)) << "threads " << threads;
+    }
 }
 
 TEST(MemFleet, FaultMatrixScreensWithMarchSuite)
