@@ -173,7 +173,7 @@ lockstep_check(const Netlist &nl, LegacySim &legacy, Simulator &tape,
 struct ModuleResult
 {
     std::string name;
-    size_t cells = 0, nets = 0, instrs = 0;
+    size_t cells = 0, nets = 0, instrs = 0, runs = 0;
     double scalar_cps = 0, tape_cps = 0, batch_cps = 0;
 
     double tape_speedup() const { return tape_cps / scalar_cps; }
@@ -191,6 +191,7 @@ bench_module(const std::string &name, const Netlist &nl,
 
     auto tape = std::make_shared<const EvalTape>(nl);
     r.instrs = tape->num_instrs();
+    r.runs = tape->runs().size();
 
     LegacySim legacy(nl);
     Simulator scalar_tape(tape);
@@ -236,7 +237,7 @@ bench_module(const std::string &name, const Netlist &nl,
 
 struct EngineResult
 {
-    size_t faults = 0, instrs = 0;
+    size_t faults = 0, instrs = 0, runs = 0;
     double rounds_per_sec = 0;
     double evals_per_round = 0;
     double edges_per_round = 0;
@@ -290,6 +291,7 @@ bench_engine(double budget_sec)
     EngineResult r;
     r.faults = bank.num_faults;
     r.instrs = tape->num_instrs();
+    r.runs = tape->runs().size();
     const int lanes = cpu::BatchNetlistEngine::kLanes;
     std::vector<uint32_t> want(lanes);
 
@@ -380,22 +382,24 @@ main(int argc, char **argv)
         char buf[512];
         std::snprintf(buf, sizeof buf,
                       "%s{\"module\":\"%s\",\"cells\":%zu,\"nets\":%zu,"
-                      "\"tape_instrs\":%zu,\"scalar_cps\":%.0f,"
+                      "\"tape_instrs\":%zu,\"tape_runs\":%zu,"
+                      "\"scalar_cps\":%.0f,"
                       "\"tape_cps\":%.0f,\"batch_lane_cps\":%.0f,"
                       "\"tape_speedup\":%.3f,\"batch_speedup\":%.3f}",
                       i ? "," : "", r.name.c_str(), r.cells, r.nets,
-                      r.instrs, r.scalar_cps, r.tape_cps, r.batch_cps,
+                      r.instrs, r.runs, r.scalar_cps, r.tape_cps, r.batch_cps,
                       r.tape_speedup(), r.batch_speedup());
         json += buf;
     }
     char buf[512];
     std::snprintf(buf, sizeof buf,
                   "],\"engine\":{\"module\":\"alu32_fault_bank\","
-                  "\"faults\":%zu,\"tape_instrs\":%zu,"
+                  "\"faults\":%zu,\"tape_instrs\":%zu,\"tape_runs\":%zu,"
                   "\"rounds_per_s\":%.0f,\"lane_rounds_per_s\":%.0f,"
                   "\"evals_per_round\":%.3f,\"edges_per_round\":%.3f,"
                   "\"evals_per_edge\":%.3f}}}",
-                  engine.faults, engine.instrs, engine.rounds_per_sec,
+                  engine.faults, engine.instrs, engine.runs,
+                  engine.rounds_per_sec,
                   BatchSimulator::kLanes * engine.rounds_per_sec,
                   engine.evals_per_round, engine.edges_per_round,
                   engine.evals_per_round / engine.edges_per_round);

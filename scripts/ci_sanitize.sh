@@ -68,12 +68,16 @@ echo "ci_sanitize: portfolio determinism gate clean"
 # to the scalar reference (tests/campaign_oracle.h). The batch engine
 # reads output registers' D pins by resolved net index, packs and
 # unpacks 64 lanes per plane, and skips settles by the tape's
-# feeds_logic map; an off-by-one in any of them is an out-of-bounds
-# read or a wrong lane bit. The one executor also carries the fault
-# hook, the retry ladder and the memory path, so their tests run here
-# too. Run them focused so such a bug fails readably.
+# feeds_logic map. Both simulators settle the tape in same-opcode
+# runs, each a tight loop that writes slot first_comb_slot + i by run
+# bounds alone, and rely on output slots being contiguous and on
+# constants being written only at reset/restore. An off-by-one in any
+# of them is an out-of-bounds read or write or a wrong lane bit. The
+# one executor also carries the fault hook, the retry ladder and the
+# memory path, so their tests run here too. Run them focused so such
+# a bug fails readably.
 ctest --test-dir "$build" --output-on-failure \
-    -R 'WaveCampaign|CampaignFaults|MemCampaign|BatchSimulator|EvalTape' \
+    -R 'WaveCampaign|CampaignFaults|MemCampaign|BatchSimulator|EvalTape|Simulator|SpProfiler' \
     -j "$jobs"
 echo "ci_sanitize: wave lockstep gate clean"
 

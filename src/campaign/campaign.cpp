@@ -378,11 +378,14 @@ try_run_campaign(const HwModule &module,
             for (size_t i = 0; i < chunk.size(); ++i)
                 meter->job_done(0);
     };
+    // The clock starts after the pool and the fault bank are built;
+    // the bank build has its own campaign.build_bank span.
+    auto t_char = std::chrono::steady_clock::now();
     submit_chunks(pool, pending_faults, characterize_chunk);
     pool.wait_idle();
     double characterize_wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
+                                      t_char)
             .count();
 
     // Injection pass: the Monte Carlo jobs proper. Results land in

@@ -61,32 +61,36 @@ struct JobSpec
     uint64_t max_slots = 0;
 };
 
-/** Outcome of one injection job. */
+/**
+ * Outcome of one injection job. Fields are ordered by size (56 bytes):
+ * a report holds one per job.
+ */
 struct JobResult
 {
     uint64_t id = 0;
     size_t pair_index = 0;
-    lift::FaultConstant constant = lift::FaultConstant::Zero;
-    runtime::SchedulePolicy policy = runtime::SchedulePolicy::Sequential;
-
-    /** The suite flagged the fault within the slot budget. */
-    bool detected = false;
-    runtime::Detection kind = runtime::Detection::None;
     /** Scheduler slots elapsed when the detection fired (1-based). */
     uint64_t slots_to_detect = 0;
     /** Tests actually dispatched by the scheduler. */
     uint64_t tests_dispatched = 0;
     /** Gate-level clock cycles this job simulated. */
     uint64_t sim_cycles = 0;
+    /** Attempts this result took (1 = first try; >1 after retries). */
+    uint32_t attempts = 1;
+
+    lift::FaultConstant constant = lift::FaultConstant::Zero;
+    runtime::SchedulePolicy policy = runtime::SchedulePolicy::Sequential;
+
+    /** The suite flagged the fault within the slot budget. */
+    bool detected = false;
+    runtime::Detection kind = runtime::Detection::None;
 
     /** The fault corrupts the representative workload's output. */
     bool corrupts_workload = false;
     /** Corrupting and undetected: a silent-data-corruption escape. */
     bool escape = false;
-
-    /** Attempts this result took (1 = first try; >1 after retries). */
-    uint32_t attempts = 1;
 };
+static_assert(sizeof(JobResult) <= 56, "JobResult grew: reorder fields");
 
 /**
  * A job quarantined after exhausting its retry budget: every attempt

@@ -91,9 +91,11 @@ struct CampaignTiming
     uint64_t journal_bytes = 0;
 
     // Per-stage wall breakdown: where the campaign actually spent its
-    // time. characterize/simulate are elapsed pass times; journal is
-    // the summed time inside journal record/seal calls (overlaps the
-    // simulate stage); aggregate covers report assembly.
+    // time. characterize/simulate are elapsed pass times; the thread
+    // pool and fault-bank build before characterization count only in
+    // wall_seconds. journal is the summed time inside journal
+    // record/seal calls (overlaps the simulate stage); aggregate
+    // covers report assembly.
     double characterize_seconds = 0.0;
     double simulate_seconds = 0.0;
     double journal_seconds = 0.0;

@@ -22,6 +22,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,7 +33,7 @@
 namespace vega::lift {
 
 /** The wrong value C sampled on a violation. */
-enum class FaultConstant {
+enum class FaultConstant : uint8_t {
     Zero,
     One,
     /**

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -17,7 +18,7 @@
 
 namespace vega::runtime {
 
-enum class SchedulePolicy { Sequential, Random, Probabilistic };
+enum class SchedulePolicy : uint8_t { Sequential, Random, Probabilistic };
 
 const char *schedule_policy_name(SchedulePolicy p);
 

@@ -106,7 +106,7 @@ void finalize_test_case(TestCase &tc);
 Expected<void> try_finalize_test_case(TestCase &tc);
 
 /** How a test run terminated. */
-enum class Detection {
+enum class Detection : uint8_t {
     None,         ///< everything matched: hardware looks healthy
     Mismatch,     ///< a compare failed (x31 set)
     Stall,        ///< handshake never completed; watchdog fired

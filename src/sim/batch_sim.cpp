@@ -50,9 +50,17 @@ BatchSimulator::reset()
     std::fill(planes_.begin(), planes_.end(), 0);
     for (const EvalTape::DffRule &r : tape_->dff_rules())
         planes_[r.q] = r.init ? ~uint64_t(0) : 0;
+    write_constants();
     cycle_ = 0;
     dirty_ = true;
     eval();
+}
+
+void
+BatchSimulator::write_constants()
+{
+    for (const EvalTape::ConstRule &r : tape_->const_rules())
+        planes_[r.slot] = r.value ? ~uint64_t(0) : 0;
 }
 
 void
@@ -67,7 +75,7 @@ void
 BatchSimulator::set_bus_lane(const std::string &bus, int lane,
                              const BitVec &value)
 {
-    const std::vector<SlotId> &slots = tape_->bus_slots(bus);
+    const std::vector<SlotId> &slots = tape_->input_bus_slots(bus);
     VEGA_CHECK(slots.size() == value.width(), "bus width mismatch on ",
                bus);
     VEGA_CHECK(lane >= 0 && lane < kLanes, "lane out of range");
@@ -80,7 +88,7 @@ BatchSimulator::set_bus_lane(const std::string &bus, int lane,
 void
 BatchSimulator::set_bus_all(const std::string &bus, const BitVec &value)
 {
-    const std::vector<SlotId> &slots = tape_->bus_slots(bus);
+    const std::vector<SlotId> &slots = tape_->input_bus_slots(bus);
     VEGA_CHECK(slots.size() == value.width(), "bus width mismatch on ",
                bus);
     for (size_t i = 0; i < slots.size(); ++i)
@@ -93,53 +101,7 @@ BatchSimulator::eval()
     if (!dirty_)
         return;
     batch_evals_counter().inc();
-    uint64_t *v = planes_.data();
-    for (const EvalTape::ConstRule &r : tape_->const_rules())
-        v[r.slot] = r.value ? ~uint64_t(0) : 0;
-
-    const size_t n = tape_->num_instrs();
-    const uint8_t *op = tape_->op().data();
-    const SlotId *i0 = tape_->in0().data();
-    const SlotId *i1 = tape_->in1().data();
-    const SlotId *i2 = tape_->in2().data();
-    const SlotId *o = tape_->out().data();
-    for (size_t i = 0; i < n; ++i) {
-        switch (CellType(op[i])) {
-          case CellType::Buf:
-            v[o[i]] = v[i0[i]];
-            break;
-          case CellType::Not:
-            v[o[i]] = ~v[i0[i]];
-            break;
-          case CellType::And2:
-            v[o[i]] = v[i0[i]] & v[i1[i]];
-            break;
-          case CellType::Or2:
-            v[o[i]] = v[i0[i]] | v[i1[i]];
-            break;
-          case CellType::Xor2:
-            v[o[i]] = v[i0[i]] ^ v[i1[i]];
-            break;
-          case CellType::Nand2:
-            v[o[i]] = ~(v[i0[i]] & v[i1[i]]);
-            break;
-          case CellType::Nor2:
-            v[o[i]] = ~(v[i0[i]] | v[i1[i]]);
-            break;
-          case CellType::Xnor2:
-            v[o[i]] = ~(v[i0[i]] ^ v[i1[i]]);
-            break;
-          case CellType::Mux2: {
-            uint64_t s = v[i2[i]];
-            v[o[i]] = (v[i0[i]] & ~s) | (v[i1[i]] & s);
-            break;
-          }
-          case CellType::Const0:
-          case CellType::Const1:
-          case CellType::Dff:
-            panic("non-combinational opcode in tape stream");
-        }
-    }
+    tape_->settle(planes_.data(), ~uint64_t(0));
     dirty_ = false;
 }
 
@@ -203,6 +165,7 @@ BatchSimulator::restore_state(const std::vector<uint64_t> &state)
                " does not match netlist ", netlist().name(), " (",
                tape_->num_slots(), " slots)");
     planes_ = state;
+    write_constants();
     dirty_ = true;
 }
 

@@ -10,13 +10,17 @@
  * commits all DFF planes at once.
  *
  * Semantics per lane are exactly the Simulator's: combinational cells
- * settle in topological order, then step() commits every DFF
- * atomically. Settling is lazy: an edge or an input change only marks
- * the tape dirty, and the next reader (value(), bus_value(), the next
- * step()) pays for one settle. An input change dirties the tape only
- * if the plane differs and some combinational instruction reads the
- * input (EvalTape::feeds_logic). Lockstep equivalence against 64
- * scalar Simulator runs is pinned by tests/test_eval_tape.cpp.
+ * settle in the tape's levelized order, one tight loop per same-opcode
+ * run (EvalTape::settle), then step() commits every DFF atomically.
+ * Constant slots are written at reset() and restore_state() only; a
+ * settle never rewrites them, and set_bus_lane/set_bus_all refuse
+ * output buses so no driver can clobber one. Settling is lazy: an
+ * edge or an input change only marks the tape dirty, and the next
+ * reader (value(), bus_value(), the next step()) pays for one settle.
+ * An input change dirties the tape only if the plane differs and some
+ * combinational instruction reads the input (EvalTape::feeds_logic).
+ * Lockstep equivalence against 64 scalar Simulator runs is pinned by
+ * tests/test_eval_tape.cpp.
  *
  * Consumers: SpProfile::sample(BatchSimulator&) popcounts planes into
  * its per-cell counters (64 samples per call), and lift::fuzz_cover
@@ -65,11 +69,14 @@ class BatchSimulator
         set_input(net, value ? ~uint64_t(0) : 0);
     }
 
-    /** Drive an input bus in one lane only; width must match. */
+    /**
+     * Drive an input bus in one lane only; width must match. Panics on
+     * an output bus.
+     */
     void set_bus_lane(const std::string &bus, int lane,
                       const BitVec &value);
 
-    /** Drive an input bus to the same value in every lane. */
+    /** Drive an input bus to the same value in every lane (as above). */
     void set_bus_all(const std::string &bus, const BitVec &value);
 
     /** Settle combinational logic. Called implicitly by readers. */
@@ -107,10 +114,17 @@ class BatchSimulator
      */
     std::vector<uint64_t> save_state() const { return planes_; }
 
-    /** Restore a snapshot; panics unless it matches this netlist. */
+    /**
+     * Restore a snapshot and rewrite every constant slot, so a snapshot
+     * cannot leave a constant driver corrupted. Panics unless the
+     * snapshot matches this netlist.
+     */
     void restore_state(const std::vector<uint64_t> &state);
 
   private:
+    /** Write every constant slot (reset and restore only). */
+    void write_constants();
+
     /** Write an input plane; dirty only if it changes settled logic. */
     void drive(SlotId slot, uint64_t lanes)
     {

@@ -9,29 +9,47 @@
  * traversal exactly once per netlist and records its result as
  * structure-of-arrays vectors of primitive indices:
  *
- *  - a combinational instruction stream in topological order: one
- *    opcode byte plus dense input/output value-slot indices per cell;
+ *  - a combinational instruction stream: dense input value-slot
+ *    indices per cell, grouped into same-opcode runs (below);
  *  - a DFF commit list (D slot, Q slot, init bit) applied atomically
  *    at each clock edge;
- *  - a constant list (slot, value) applied when inputs change, so a
- *    restored state can never leave a constant driver corrupted;
+ *  - a constant list (slot, value);
  *  - slot maps for nets, cell outputs, and named port buses.
+ *
+ * Levelized run layout. Every combinational cell gets a level: 1 + the
+ * highest level among its inputs, where primary inputs, constants and
+ * DFF Qs are level 0. The stream is ordered by (level, opcode, topo
+ * position), so it is still a topological order, and no instruction
+ * reads a slot written at its own level or later. Maximal stretches of
+ * one opcode form runs(), each an (opcode, end) pair; an interpreter
+ * runs one tight loop per run (settle()) instead of dispatching per
+ * instruction. Instruction i writes slot first_comb_slot() + i, so the
+ * stream stores no output indices.
  *
  * Value slots are a permutation of NetIds ordered by evaluation phase
  * (primary inputs, constants, DFF Qs, then combinational outputs in
- * topo order), so a simulator's value plane is written front-to-back
- * each settle. Every simulation consumer — the 1-lane Simulator, the
- * 64-lane BatchSimulator, SP profiling, fuzz lifting, the ISS netlist
- * backend, and the campaign engine — interprets this one artifact, so
- * all of them share a single lowering of eval_cell semantics.
+ * stream order), so a settle writes the plane's tail front-to-back.
+ *
+ * Constants are written only at reset() and restore_state(), never per
+ * settle. That holds because nothing else can write a constant slot:
+ * settles write only combinational slots, edges only DFF Qs, and
+ * set_input/set_bus refuse anything but primary inputs (input_bus_slots).
+ *
+ * Every simulation consumer — the 1-lane Simulator, the 64-lane
+ * BatchSimulator, SP profiling, fuzz lifting, the ISS netlist backend,
+ * and the campaign engine — interprets this one artifact through
+ * settle(), so all of them share a single lowering of eval_cell
+ * semantics.
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "netlist/netlist.h"
 
 namespace vega {
@@ -61,14 +79,24 @@ class EvalTape
     /** Value slot holding the output of cell @p c (DFFs included). */
     SlotId cell_out_slot(CellId c) const { return cell_out_slot_[c]; }
 
-    /// @name Combinational instruction stream (topological order)
+    /// @name Combinational instruction stream (levelized opcode runs)
     /// @{
-    size_t num_instrs() const { return op_.size(); }
-    const std::vector<uint8_t> &op() const { return op_; }
+    size_t num_instrs() const { return in0_.size(); }
+
+    /** Slot written by instruction 0; instruction i writes this + i. */
+    SlotId first_comb_slot() const { return first_comb_slot_; }
+
     const std::vector<SlotId> &in0() const { return in0_; }
     const std::vector<SlotId> &in1() const { return in1_; }
     const std::vector<SlotId> &in2() const { return in2_; }
-    const std::vector<SlotId> &out() const { return out_; }
+
+    /** Instructions [previous run's end, end) all have opcode @p op. */
+    struct Run
+    {
+        uint8_t op; ///< CellType as a byte
+        uint32_t end;
+    };
+    const std::vector<Run> &runs() const { return runs_; }
     /// @}
 
     /** Clock-edge commit rule: Q slot takes the D slot's value. */
@@ -94,6 +122,13 @@ class EvalTape
     /** Slots of bus @p name, LSB first (panics on unknown name). */
     const std::vector<SlotId> &bus_slots(const std::string &name) const;
 
+    /**
+     * Slots of input bus @p name, LSB first. Panics on an unknown name
+     * and on an output bus, whose slots a driver must never write.
+     */
+    const std::vector<SlotId> &
+    input_bus_slots(const std::string &name) const;
+
     bool is_primary_input(NetId net) const
     {
         return nl_.net(net).is_primary_input;
@@ -109,20 +144,90 @@ class EvalTape
      */
     bool feeds_logic(SlotId slot) const { return feeds_logic_[slot] != 0; }
 
+    /**
+     * Settle every combinational slot of value plane @p v, one loop per
+     * opcode run. Word is uint8_t for one lane (values 0/1, @p ones = 1)
+     * or uint64_t for 64 lanes (@p ones = ~0).
+     */
+    template <typename Word>
+    void settle(Word *v, Word ones) const
+    {
+        Word *out = v + first_comb_slot_;
+        const SlotId *a = in0_.data();
+        const SlotId *b = in1_.data();
+        const SlotId *s = in2_.data();
+        size_t i = 0;
+        for (const Run &r : runs_) {
+            const size_t end = r.end;
+            switch (CellType(r.op)) {
+              case CellType::Buf:
+                for (; i < end; ++i)
+                    out[i] = v[a[i]];
+                break;
+              case CellType::Not:
+                for (; i < end; ++i)
+                    out[i] = Word(v[a[i]] ^ ones);
+                break;
+              case CellType::And2:
+                for (; i < end; ++i)
+                    out[i] = Word(v[a[i]] & v[b[i]]);
+                break;
+              case CellType::Or2:
+                for (; i < end; ++i)
+                    out[i] = Word(v[a[i]] | v[b[i]]);
+                break;
+              case CellType::Xor2:
+                for (; i < end; ++i)
+                    out[i] = Word(v[a[i]] ^ v[b[i]]);
+                break;
+              case CellType::Nand2:
+                for (; i < end; ++i)
+                    out[i] = Word((v[a[i]] & v[b[i]]) ^ ones);
+                break;
+              case CellType::Nor2:
+                for (; i < end; ++i)
+                    out[i] = Word((v[a[i]] | v[b[i]]) ^ ones);
+                break;
+              case CellType::Xnor2:
+                for (; i < end; ++i)
+                    out[i] = Word(v[a[i]] ^ v[b[i]] ^ ones);
+                break;
+              case CellType::Mux2:
+                // S ? B : A, lane-wise: A with the lanes where S is set
+                // flipped to B.
+                for (; i < end; ++i) {
+                    Word x = v[a[i]];
+                    out[i] = Word(x ^ ((x ^ v[b[i]]) & v[s[i]]));
+                }
+                break;
+              case CellType::Const0:
+              case CellType::Const1:
+              case CellType::Dff:
+                panic("non-combinational opcode in tape stream");
+            }
+        }
+    }
+
   private:
     const Netlist &nl_;
 
     std::vector<SlotId> slot_of_net_;   ///< NetId -> slot
     std::vector<SlotId> cell_out_slot_; ///< CellId -> slot
 
-    std::vector<uint8_t> op_; ///< CellType as a byte
-    std::vector<SlotId> in0_, in1_, in2_, out_;
+    SlotId first_comb_slot_ = 0;
+    std::vector<SlotId> in0_, in1_, in2_;
+    std::vector<Run> runs_;
     std::vector<uint8_t> feeds_logic_; ///< slot -> read by an instruction
 
     std::vector<DffRule> dff_rules_;
     std::vector<ConstRule> const_rules_;
 
-    std::unordered_map<std::string, std::vector<SlotId>> bus_slots_;
+    struct PortBus
+    {
+        std::vector<SlotId> slots;
+        bool input;
+    };
+    std::unordered_map<std::string, PortBus> buses_;
 };
 
 } // namespace vega

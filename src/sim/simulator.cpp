@@ -48,9 +48,17 @@ Simulator::reset()
     std::fill(values_.begin(), values_.end(), 0);
     for (const EvalTape::DffRule &r : tape_->dff_rules())
         values_[r.q] = r.init;
+    write_constants();
     cycle_ = 0;
     dirty_ = true;
     eval();
+}
+
+void
+Simulator::write_constants()
+{
+    for (const EvalTape::ConstRule &r : tape_->const_rules())
+        values_[r.slot] = r.value;
 }
 
 void
@@ -64,7 +72,7 @@ Simulator::set_input(NetId net, bool value)
 void
 Simulator::set_bus(const std::string &bus, const BitVec &value)
 {
-    const std::vector<SlotId> &slots = tape_->bus_slots(bus);
+    const std::vector<SlotId> &slots = tape_->input_bus_slots(bus);
     VEGA_CHECK(slots.size() == value.width(), "bus width mismatch on ",
                bus);
     for (size_t i = 0; i < slots.size(); ++i)
@@ -77,51 +85,7 @@ Simulator::eval()
     if (!dirty_)
         return;
     evals_counter().inc();
-    uint8_t *v = values_.data();
-    for (const EvalTape::ConstRule &r : tape_->const_rules())
-        v[r.slot] = r.value;
-
-    const size_t n = tape_->num_instrs();
-    const uint8_t *op = tape_->op().data();
-    const SlotId *i0 = tape_->in0().data();
-    const SlotId *i1 = tape_->in1().data();
-    const SlotId *i2 = tape_->in2().data();
-    const SlotId *o = tape_->out().data();
-    for (size_t i = 0; i < n; ++i) {
-        switch (CellType(op[i])) {
-          case CellType::Buf:
-            v[o[i]] = v[i0[i]];
-            break;
-          case CellType::Not:
-            v[o[i]] = v[i0[i]] ^ 1;
-            break;
-          case CellType::And2:
-            v[o[i]] = v[i0[i]] & v[i1[i]];
-            break;
-          case CellType::Or2:
-            v[o[i]] = v[i0[i]] | v[i1[i]];
-            break;
-          case CellType::Xor2:
-            v[o[i]] = v[i0[i]] ^ v[i1[i]];
-            break;
-          case CellType::Nand2:
-            v[o[i]] = (v[i0[i]] & v[i1[i]]) ^ 1;
-            break;
-          case CellType::Nor2:
-            v[o[i]] = (v[i0[i]] | v[i1[i]]) ^ 1;
-            break;
-          case CellType::Xnor2:
-            v[o[i]] = (v[i0[i]] ^ v[i1[i]]) ^ 1;
-            break;
-          case CellType::Mux2:
-            v[o[i]] = v[i2[i]] ? v[i1[i]] : v[i0[i]];
-            break;
-          case CellType::Const0:
-          case CellType::Const1:
-          case CellType::Dff:
-            panic("non-combinational opcode in tape stream");
-        }
-    }
+    tape_->settle(values_.data(), uint8_t(1));
     dirty_ = false;
 }
 
@@ -173,6 +137,7 @@ Simulator::restore_state(const std::vector<uint8_t> &state)
                " does not match netlist ", netlist().name(), " (",
                netlist().num_nets(), " nets)");
     values_ = state;
+    write_constants();
     dirty_ = true;
 }
 

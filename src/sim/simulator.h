@@ -9,11 +9,15 @@
  * commits every DFF atomically.
  *
  * Internally this is a thin 1-lane interpreter over a compiled EvalTape
- * (sim/eval_tape.h): the netlist is lowered once into a flat instruction
- * stream, and eval() walks primitive index arrays instead of chasing Cell
- * structs through topo_order(). The public API and cycle semantics are
- * unchanged from the pre-tape simulator; the 64-lane variant over the same
- * tape is sim/batch_sim.h.
+ * (sim/eval_tape.h): the netlist is lowered once into a levelized
+ * instruction stream grouped into same-opcode runs, and eval() runs one
+ * tight loop per run (EvalTape::settle) over primitive index arrays
+ * instead of chasing Cell structs through topo_order(). Constant slots
+ * are written at reset() and restore_state() only, never per eval;
+ * set_input/set_bus refuse anything but primary inputs, so nothing else
+ * writes them. The public API and cycle semantics are unchanged from the
+ * pre-tape simulator; the 64-lane variant over the same tape is
+ * sim/batch_sim.h.
  */
 #pragma once
 
@@ -49,7 +53,10 @@ class Simulator
      */
     void set_input(NetId net, bool value);
 
-    /** Drive an input bus (LSB first); width must match. */
+    /**
+     * Drive an input bus (LSB first); width must match. Panics on an
+     * output bus.
+     */
     void set_bus(const std::string &bus, const BitVec &value);
 
     /** Settle combinational logic. Called implicitly by step()/readers. */
@@ -81,14 +88,18 @@ class Simulator
     std::vector<uint8_t> save_state() const { return values_; }
 
     /**
-     * Restore a snapshot. Panics if @p state does not match this
-     * netlist's net count — a wrong-sized vector means the snapshot
-     * came from a different netlist and would silently corrupt every
-     * downstream read.
+     * Restore a snapshot and rewrite every constant slot, so a snapshot
+     * cannot leave a constant driver corrupted. Panics if @p state does
+     * not match this netlist's net count — a wrong-sized vector means
+     * the snapshot came from a different netlist and would silently
+     * corrupt every downstream read.
      */
     void restore_state(const std::vector<uint8_t> &state);
 
   private:
+    /** Write every constant slot (reset and restore only). */
+    void write_constants();
+
     /** Write an input value; dirty only if it changes settled logic. */
     void drive(SlotId slot, uint8_t value)
     {

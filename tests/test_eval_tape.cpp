@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "netlist/builder.h"
 #include "obs/metrics.h"
@@ -152,6 +154,212 @@ TEST(EvalTape, LowersEveryNetToExactlyOneSlot)
     EXPECT_EQ(tape.num_instrs(), n_comb);
     EXPECT_EQ(tape.const_rules().size(), n_const);
     EXPECT_EQ(tape.dff_rules().size(), n_dff);
+}
+
+/** Cell written by each instruction, via the contiguous output slots. */
+std::vector<CellId>
+instr_cells(const EvalTape &tape)
+{
+    const Netlist &nl = tape.netlist();
+    std::vector<CellId> cells(tape.num_instrs(), kInvalidId);
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+        SlotId s = tape.cell_out_slot(c);
+        if (s >= tape.first_comb_slot())
+            cells[s - tape.first_comb_slot()] = c;
+    }
+    return cells;
+}
+
+/** The netlists the layout invariants are checked on. */
+std::vector<Netlist>
+layout_corpus()
+{
+    std::vector<Netlist> nls;
+    for (uint64_t seed : {11u, 12u, 13u})
+        nls.push_back(random_netlist(seed, 8, 300, 6));
+    nls.push_back(rtl::make_alu32().netlist);
+    return nls;
+}
+
+TEST(EvalTape, RunsPartitionStreamByOpcode)
+{
+    for (const Netlist &nl : layout_corpus()) {
+        EvalTape tape(nl);
+        std::vector<CellId> cells = instr_cells(tape);
+        const std::vector<SlotId> *pins[] = {&tape.in0(), &tape.in1(),
+                                             &tape.in2()};
+        ASSERT_FALSE(tape.runs().empty()) << nl.name();
+        size_t begin = 0;
+        for (size_t r = 0; r < tape.runs().size(); ++r) {
+            const EvalTape::Run &run = tape.runs()[r];
+            ASSERT_GT(run.end, begin) << nl.name() << " run " << r;
+            if (r > 0) { // maximal: a run never continues the previous op
+                EXPECT_NE(run.op, tape.runs()[r - 1].op)
+                    << nl.name() << " run " << r;
+            }
+            for (size_t i = begin; i < run.end; ++i) {
+                ASSERT_NE(cells[i], kInvalidId)
+                    << nl.name() << " instr " << i;
+                const Cell &cell = nl.cell(cells[i]);
+                ASSERT_EQ(uint8_t(cell.type), run.op)
+                    << nl.name() << " instr " << i;
+                for (int k = 0; k < cell.num_inputs(); ++k)
+                    EXPECT_EQ((*pins[k])[i], tape.slot(cell.in[k]))
+                        << nl.name() << " instr " << i << " pin " << k;
+            }
+            begin = run.end;
+        }
+        EXPECT_EQ(begin, tape.num_instrs()) << nl.name();
+    }
+}
+
+TEST(EvalTape, InstructionsReadOnlyLowerLevels)
+{
+    for (const Netlist &nl : layout_corpus()) {
+        // Levels recomputed from the netlist: inputs, constants and
+        // DFF Qs are 0, a combinational output 1 + its highest input.
+        std::vector<uint32_t> level(nl.num_nets(), 0);
+        for (CellId c : nl.topo_order()) {
+            const Cell &cell = nl.cell(c);
+            for (int k = 0; k < cell.num_inputs(); ++k)
+                level[cell.out] =
+                    std::max(level[cell.out], level[cell.in[k]] + 1);
+        }
+        EvalTape tape(nl);
+        std::vector<CellId> cells = instr_cells(tape);
+        const std::vector<SlotId> *pins[] = {&tape.in0(), &tape.in1(),
+                                             &tape.in2()};
+        uint32_t prev = 0;
+        for (size_t i = 0; i < tape.num_instrs(); ++i) {
+            const Cell &cell = nl.cell(cells[i]);
+            uint32_t l = level[cell.out];
+            EXPECT_GE(l, prev) << nl.name() << " instr " << i;
+            prev = l;
+            for (int k = 0; k < cell.num_inputs(); ++k) {
+                SlotId s = (*pins[k])[i];
+                if (s < tape.first_comb_slot())
+                    continue; // input, constant or DFF Q: level 0
+                const Cell &src = nl.cell(cells[s - tape.first_comb_slot()]);
+                EXPECT_LT(level[src.out], l)
+                    << nl.name() << " instr " << i << " pin " << k;
+            }
+        }
+    }
+}
+
+TEST(EvalTape, OutputSlotsAreContiguous)
+{
+    for (const Netlist &nl : layout_corpus()) {
+        EvalTape tape(nl);
+        EXPECT_EQ(tape.first_comb_slot() + tape.num_instrs(),
+                  tape.num_slots())
+            << nl.name();
+        size_t n_comb = 0;
+        for (CellId c = 0; c < nl.num_cells(); ++c) {
+            CellType t = nl.cell(c).type;
+            bool comb = t != CellType::Dff && t != CellType::Const0 &&
+                        t != CellType::Const1;
+            n_comb += comb;
+            EXPECT_EQ(tape.cell_out_slot(c) >= tape.first_comb_slot(), comb)
+                << nl.name() << " cell " << nl.cell(c).name;
+        }
+        for (NetId n : nl.primary_inputs())
+            EXPECT_LT(tape.slot(n), tape.first_comb_slot()) << nl.name();
+        // Slots are a permutation, so n_comb cells above the boundary
+        // with n_comb slots there fill it exactly.
+        EXPECT_EQ(tape.num_instrs(), n_comb) << nl.name();
+    }
+}
+
+/** Inputs and a DFF chain only: a tape with no instructions. */
+Netlist
+register_chain_netlist()
+{
+    Netlist nl("regchain");
+    NetId a = nl.add_input_bus("a", 1)[0];
+    NetId q0 = nl.new_net("q0");
+    NetId q1 = nl.new_net("q1");
+    nl.add_dff("ff0", a, q0, false);
+    nl.add_dff("ff1", q0, q1, true);
+    nl.add_output_bus("q", {q0, q1});
+    return nl;
+}
+
+TEST(EvalTape, NoCombinationalCellsBuildsAndSteps)
+{
+    Netlist nl = register_chain_netlist();
+    auto tape = std::make_shared<const EvalTape>(nl);
+    EXPECT_EQ(tape->num_instrs(), 0u);
+    EXPECT_TRUE(tape->runs().empty());
+    EXPECT_EQ(tape->first_comb_slot(), tape->num_slots());
+
+    Simulator sim(tape);
+    EXPECT_EQ(sim.bus_value("q").to_u64(), 0b10u);
+    sim.set_bus("a", BitVec(1, 1));
+    sim.step();
+    EXPECT_EQ(sim.bus_value("q").to_u64(), 0b01u);
+    sim.step();
+    EXPECT_EQ(sim.bus_value("q").to_u64(), 0b11u);
+
+    BatchSimulator batch(tape);
+    const uint64_t lanes = 0xf0f0f0f0f0f0f0f0ull;
+    NetId a = nl.bus("a")[0], q0 = nl.bus("q")[0], q1 = nl.bus("q")[1];
+    EXPECT_EQ(batch.value(q1), ~uint64_t(0));
+    batch.set_input(a, lanes);
+    batch.step();
+    EXPECT_EQ(batch.value(q0), lanes);
+    EXPECT_EQ(batch.value(q1), 0u);
+    batch.step();
+    EXPECT_EQ(batch.value(q1), lanes);
+}
+
+/** r = a & 1, s = a | 0: both outputs follow a only if both constants hold. */
+Netlist
+constant_netlist()
+{
+    Netlist nl("consts");
+    Builder b(nl);
+    NetId a = nl.add_input_bus("a", 1)[0];
+    NetId one = b.const1();
+    NetId zero = b.const0();
+    nl.add_output_bus("r", {b.and_(a, one)});
+    nl.add_output_bus("s", {b.or_(a, zero)});
+    nl.add_output_bus("k", {one, zero});
+    return nl;
+}
+
+TEST(Simulator, RestoreStateRewritesClobberedConstants)
+{
+    Netlist nl = constant_netlist();
+    Simulator sim(nl);
+    sim.set_bus("a", BitVec(1, 1));
+    std::vector<uint8_t> snap = sim.save_state();
+    const std::vector<SlotId> &k = sim.tape().bus_slots("k");
+    snap[k[0]] = 0;
+    snap[k[1]] = 1;
+    sim.restore_state(snap);
+    EXPECT_EQ(sim.bus_value("k").to_u64(), 0b01u);
+    EXPECT_TRUE(sim.bus_value("r").get(0));
+    sim.set_bus("a", BitVec(1, 0));
+    EXPECT_FALSE(sim.bus_value("s").get(0));
+}
+
+TEST(BatchSimulator, RestoreStateRewritesClobberedConstants)
+{
+    Netlist nl = constant_netlist();
+    BatchSimulator sim(nl);
+    const uint64_t lanes = 0x0123456789abcdefull;
+    NetId a = nl.bus("a")[0];
+    sim.set_input(a, lanes);
+    std::vector<uint64_t> snap = sim.save_state();
+    const std::vector<SlotId> &k = sim.tape().bus_slots("k");
+    snap[k[0]] = 0x5555;
+    snap[k[1]] = 0xaaaa;
+    sim.restore_state(snap);
+    EXPECT_EQ(sim.value(nl.bus("k")[0]), ~uint64_t(0));
+    EXPECT_EQ(sim.value(nl.bus("k")[1]), 0u);
+    EXPECT_EQ(sim.value(nl.bus("r")[0]), lanes);
+    EXPECT_EQ(sim.value(nl.bus("s")[0]), lanes);
 }
 
 TEST(EvalTape, MatchesPreTapeReferenceOnRandomNetlists)
@@ -350,6 +558,24 @@ TEST(Simulator, RegisterOnlyInputLeavesSettleClean)
     EXPECT_TRUE(sim.value(q));
     EXPECT_TRUE(sim.value(r));
     EXPECT_EQ(evals.value(), settled + 1);
+}
+
+TEST(Simulator, SetBusRejectsOutputBus)
+{
+    Netlist nl = register_only_input_netlist();
+    Simulator sim(nl);
+    EXPECT_DEATH(sim.set_bus("q", BitVec(1, 1)),
+                 "q of regonly is not an input bus");
+}
+
+TEST(BatchSimulator, SetBusRejectsOutputBus)
+{
+    Netlist nl = register_only_input_netlist();
+    BatchSimulator sim(nl);
+    EXPECT_DEATH(sim.set_bus_lane("q", 0, BitVec(1, 1)),
+                 "q of regonly is not an input bus");
+    EXPECT_DEATH(sim.set_bus_all("r", BitVec(1, 1)),
+                 "r of regonly is not an input bus");
 }
 
 TEST(BatchSimulator, SaveRestoreRoundTrip)
